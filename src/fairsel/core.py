@@ -7,7 +7,7 @@ runs byte-reproducible.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -114,7 +114,3 @@ def _entropy_term(value: int) -> int:
 def format_float(x: float) -> str:
     """Shortest exact decimal form; used everywhere CSVs must be byte-stable."""
     return repr(float(x))
-
-
-def ids_from_mask(mask: Sequence[bool]) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.nonzero(np.asarray(mask, dtype=bool))[0])

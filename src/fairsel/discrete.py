@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import FeasibilityError
+from .core import ContractError, FeasibilityError
 from .oracles import UtilityOracle, WorkerPool
 
 
@@ -98,14 +98,16 @@ def _greedy_fill(pool: WorkerPool, oracle: UtilityOracle, base: set[int]) -> tup
     return tuple(sorted(chosen))
 
 
-def round_robin_policy(pool: WorkerPool, horizon: int) -> list[tuple[int, ...]]:
-    """Deterministic schedule meeting every floor up to 1/T when feasible.
+def round_robin_policy(pool: WorkerPool, horizon: int) -> np.ndarray:
+    """Deterministic (T, n) selection matrix meeting every floor up to 1/T.
 
     Lay out k*T selection slots, ordered round-first within each of the k
     channels (round 1 channel 1, ..., round T channel 1, round 1 channel 2,
     ...). Worker i fills consecutive slots up to the ceil(cumsum(r)*T)-th,
     which gives it at least ceil(r_i*T) - 1 distinct rounds. Rounds left
-    short are padded with the lowest-id workers not already selected in them.
+    short are padded with the lowest-id workers not already selected in them,
+    so every row holds exactly k workers; the column means are the
+    per-worker selection fractions.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -121,30 +123,16 @@ def round_robin_policy(pool: WorkerPool, horizon: int) -> list[tuple[int, ...]]:
     bounds = np.clip(bounds, 0, k * t_total)
     starts = np.concatenate([[0], bounds[:-1]])
     counts = bounds - starts
-    assert (counts >= 0).all() and (counts <= t_total).all()
+    if (counts < 0).any() or (counts > t_total).any():
+        raise ContractError("a worker's slot count falls outside 0..T")
 
-    grid = np.full((k, t_total), -1, dtype=np.int64)
+    # a worker's slots are consecutive and at most T, so they land in
+    # distinct rounds and no round gets more than one slot per channel
+    selected = np.zeros((t_total, n), dtype=bool)
     slot_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-    slots = np.arange(slot_ids.size, dtype=np.int64)
-    grid[slots // t_total, slots % t_total] = slot_ids
+    selected[np.arange(slot_ids.size) % t_total, slot_ids] = True
 
-    rounds: list[tuple[int, ...]] = []
-    for t in range(t_total):
-        column = grid[:, t]
-        selected = set(int(u) for u in column[column >= 0])
-        filler = 0
-        while len(selected) < k:
-            if filler not in selected:
-                selected.add(filler)
-            filler += 1
-        rounds.append(tuple(sorted(selected)))
-    return rounds
-
-
-def round_robin_fractions(pool: WorkerPool, horizon: int) -> np.ndarray:
-    """Selection fraction per worker under the round-robin schedule."""
-    rounds = round_robin_policy(pool, horizon)
-    counts = np.zeros(pool.n, dtype=np.int64)
-    for sel in rounds:
-        counts[list(sel)] += 1
-    return counts / float(horizon)
+    free = ~selected
+    short = k - selected.sum(axis=1)
+    selected |= free & (np.cumsum(free, axis=1) <= short[:, None])
+    return selected

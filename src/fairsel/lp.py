@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SizeLimitError
+from .core import ContractError, SizeLimitError
 from .oracles import UtilityOracle, WorkerPool
 
 DEFAULT_SUBSET_CAP = 100_000
@@ -229,8 +229,10 @@ def solve_uopt(
         duals=tableau.duals,
     )
     total = float(q.sum())
-    assert abs(total - 1.0) <= 1e-9, f"distribution sums to {total!r}"
-    assert (masks.T @ q >= pool.fairness - 1e-9).all(), "fairness marginal violated"
+    if abs(total - 1.0) > 1e-9:
+        raise ContractError(f"distribution sums to {total!r}")
+    if not (masks.T @ q >= pool.fairness - 1e-9).all():
+        raise ContractError("fairness marginal violated")
     return solution
 
 

@@ -1,9 +1,11 @@
 """Fairness accounting, theoretical-bound certificates, and tail checks.
 
-A SelectionTrace is the full record of a multi-round run: one selected set
-and one utility value per round. Everything else here is derived views of a
-trace (selection fractions, debts, running averages) or certificates that
-the run's fractional solution met its provable guarantees.
+A SelectionTrace is the full record of a multi-round run: a (T, n) boolean
+selection matrix (row t marks the workers picked in round t) and one utility
+value per round. Its column means are the selection fractions the fairness
+floors bound. Everything else here is derived views of a trace (fractions,
+debts, running averages) or certificates that the run's fractional solution
+met its provable guarantees.
 """
 from __future__ import annotations
 
@@ -21,39 +23,47 @@ DEFAULT_FAIRNESS_EPS = 1e-3
 
 
 class SelectionTrace:
-    """Per-round selections plus their utilities for one policy run."""
+    """A (T, n) selection matrix plus the T round utilities of one policy run."""
 
-    def __init__(
-        self,
-        n: int,
-        selections: Sequence[tuple[int, ...]],
-        utilities: Sequence[float],
-    ):
-        if len(selections) != len(utilities):
+    def __init__(self, selected: np.ndarray, utilities: Sequence[float]):
+        selected = np.asarray(selected, dtype=bool)
+        utilities = np.asarray(utilities, dtype=float)
+        if selected.ndim != 2:
+            raise ValueError(f"selection matrix must be 2-d, got shape {selected.shape}")
+        if utilities.shape != (selected.shape[0],):
             raise ValueError("one utility per round required")
-        if not selections:
+        if not selected.shape[0]:
             raise ValueError("a trace needs at least one round")
-        self.n = int(n)
-        self.selections = list(selections)
-        self.utilities = np.asarray(utilities, dtype=float)
+        self.selected = selected
+        self.utilities = utilities
+
+    @property
+    def n(self) -> int:
+        return self.selected.shape[1]
 
     @property
     def horizon(self) -> int:
-        return len(self.selections)
+        return self.selected.shape[0]
+
+    @property
+    def selections(self) -> np.ndarray:
+        """(T, k) selected ids per round, ascending; ValueError unless every
+        round selects the same number of workers."""
+        sizes = self.selected.sum(axis=1)
+        if (sizes != sizes[0]).any():
+            raise ValueError("rounds select different numbers of workers")
+        return (np.flatnonzero(self.selected) % self.n).reshape(self.horizon, int(sizes[0]))
 
     def selection_matrix(self) -> np.ndarray:
         """(T, n) boolean matrix of who was selected when."""
-        out = np.zeros((self.horizon, self.n), dtype=bool)
-        for t, sel in enumerate(self.selections):
-            out[t, list(sel)] = True
-        return out
+        return self.selected
 
     def cumulative_counts(self) -> np.ndarray:
         """(T, n) matrix: N_u(t) after each round."""
-        return np.cumsum(self.selection_matrix(), axis=0, dtype=np.int64)
+        return np.cumsum(self.selected, axis=0, dtype=np.int64)
 
     def fractions(self) -> np.ndarray:
-        return self.cumulative_counts()[-1] / float(self.horizon)
+        return self.selected.sum(axis=0) / float(self.horizon)
 
     def running_average(self) -> np.ndarray:
         """Time-average utility after each round."""

@@ -109,5 +109,6 @@ def maximize_linear(
     if abs(drift) > SUM_TOL and last is not None:
         x[last] = min(max(x[last] + drift, polytope.fairness[last]), 1.0)
     point = FractionalPoint(x)
-    assert abs(point.sum() - polytope.k) <= 1e-9, "water filling missed the budget"
+    if abs(point.sum() - polytope.k) > 1e-9:
+        raise ContractError("water filling missed the budget")
     return point

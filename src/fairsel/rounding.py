@@ -45,7 +45,8 @@ def dep_round(
         yi, yj = vals[i], vals[j]
         a = min(1.0 - yi, yj)
         b = min(yi, 1.0 - yj)
-        assert a > 0.0 and b > 0.0, "pairing picked an integral coordinate"
+        if not (a > 0.0 and b > 0.0):
+            raise ContractError("pairing picked an integral coordinate")
         if draws[used] * (a + b) < b:
             yi += a
             yj -= a
@@ -62,9 +63,8 @@ def dep_round(
         # else: i stays fractional and pairs with the next fractional index
 
     selected = tuple(u for u, v in enumerate(vals) if v == 1.0)
-    assert len(selected) == target, (
-        f"rounded to {len(selected)} elements, expected {target}"
-    )
+    if len(selected) != target:
+        raise ContractError(f"rounded to {len(selected)} elements, expected {target}")
     return selected
 
 

@@ -36,7 +36,7 @@ from .metrics import (
     fairness_report,
 )
 from .multilinear import ExtensionEvaluator
-from .oracles import UtilityOracle, WorkerPool
+from .oracles import WorkerPool
 
 SCHEMA_VERSION = 1
 ROUND_STREAM = 11
@@ -64,29 +64,28 @@ def execute_run(config: RunConfig) -> RunResult:
     notes: list[str] = []
 
     greedy_result: ContinuousGreedyResult | None = None
+    selected = np.zeros((config.horizon, pool.n), dtype=bool)
     if config.policy in ("faircg1", "faircg2"):
         driver = faircg1_fractional if config.policy == "faircg1" else faircg2_fractional
         greedy_result = driver(
             pool, oracle, estimator=estimator, step_count=config.resolved_step_count()
         )
-        selections = _round_fractional(
-            greedy_result.y1, config.horizon, config.master_seed
-        )
+        for t in range(config.horizon):
+            rng = derive_rng(config.master_seed, ROUND_STREAM, t)
+            selected[t, dep_round(greedy_result.y1, rng)] = True
     elif config.policy == "fairdg":
         ledger = DebtLedger.fresh(pool.n)
-        selections = [
-            fairdg_round(pool, oracle, ledger, strict_debt=config.strict_debt)
-            for _ in range(config.horizon)
-        ]
+        for t in range(config.horizon):
+            ids = fairdg_round(pool, oracle, ledger, strict_debt=config.strict_debt)
+            selected[t, ids] = True
     elif config.policy == "dg":
-        fixed = dg_round(pool, oracle)
-        selections = [fixed] * config.horizon
+        selected[:, dg_round(pool, oracle)] = True
     elif config.policy == "roundrobin":
-        selections = round_robin_policy(pool, config.horizon)
+        selected = round_robin_policy(pool, config.horizon)
     else:
         raise ValueError(f"unknown policy {config.policy!r}")
 
-    trace = _build_trace(pool, oracle, selections)
+    trace = SelectionTrace(selected, oracle.evaluate_many(selected))
     report = fairness_report(trace, pool.fairness)
 
     lp_solution: LpSolution | None = None
@@ -121,20 +120,6 @@ def execute_run(config: RunConfig) -> RunResult:
     )
 
 
-def _round_fractional(y1: FractionalPoint, horizon: int, master_seed: int):
-    return [
-        dep_round(y1, derive_rng(master_seed, ROUND_STREAM, t)) for t in range(horizon)
-    ]
-
-
-def _build_trace(pool: WorkerPool, oracle: UtilityOracle, selections) -> SelectionTrace:
-    matrix = np.zeros((len(selections), pool.n), dtype=bool)
-    for t, sel in enumerate(selections):
-        matrix[t, list(sel)] = True
-    utilities = oracle.evaluate_many(matrix)
-    return SelectionTrace(pool.n, selections, utilities)
-
-
 # ---------------------------------------------------------------------------
 # deterministic file output
 
@@ -152,13 +137,15 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
         result.pool.fairness[None, :] * t_col[:, None] - counts
     ).max(axis=1)
 
+    # worker ids as strings; a round's row masks out the ids of its cell
+    id_names = np.array([str(u) for u in range(trace.n)], dtype=object)
     rows = ["round,selected,utility,running_average,max_debt"]
-    for t in range(trace.horizon):
+    for t, row in enumerate(trace.selected):
         rows.append(
             ",".join(
                 (
                     str(t + 1),
-                    "|".join(str(u) for u in trace.selections[t]),
+                    "|".join(id_names[row]),
                     format_float(trace.utilities[t]),
                     format_float(running[t]),
                     format_float(debt_by_round[t]),
@@ -316,7 +303,9 @@ def run_sweep(config: RunConfig, out_dir: str | Path | None = None) -> list[Swee
 
     Requires the config's fairness to be given in {"beta", "base"} form so
     there is a base profile to scale. Infeasible betas produce a row with
-    status "infeasible" and no numbers.
+    status "infeasible" and no numbers. U_opt is the faircg1 run's own LP
+    optimum; when C(n, k) exceeds subset_cap that run solves no LP, and the
+    rows leave U_opt and both ratios blank.
     """
     base = _sweep_base(config)
     rows: list[SweepRow] = []
@@ -330,14 +319,16 @@ def run_sweep(config: RunConfig, out_dir: str | Path | None = None) -> list[Swee
                     SweepRow(beta, policy, "infeasible", math.nan, math.nan, math.nan, math.nan)
                 )
             continue
-        oracle = cfg_beta.build_oracle()
-        lp_solution = solve_uopt(pool, oracle, subset_cap=config.subset_cap)
-        u_opt = lp_solution.u_opt
+        u_opt = math.nan  # faircg1 runs first and brings its LP, unless over subset_cap
         for policy in ("faircg1", "faircg2", "fairdg"):
             result = execute_run(cfg_beta.with_overrides(policy=policy))
+            if policy == "faircg1" and result.lp is not None:
+                u_opt = result.lp.u_opt
             mean = result.trace.mean_utility()
             ratio = mean / u_opt if u_opt > 0 else math.nan
-            if policy == "faircg1":
+            if math.isnan(u_opt):
+                bound_ratio = math.nan
+            elif policy == "faircg1":
                 bound_ratio = 1.0 - 1.0 / math.e
             elif policy == "faircg2" and result.certificates is not None:
                 bound_ratio = result.certificates.variant_two_bound / u_opt

@@ -31,7 +31,7 @@ from fairsel import (
 )
 from fairsel.cli import main
 from fairsel.config import parse_config
-from fairsel.discrete import round_robin_fractions, round_robin_policy
+from fairsel.discrete import round_robin_policy
 from fairsel.metrics import concession_rate
 from fairsel.multilinear import extension_mc
 from fairsel.presets import DEMO_BETAS, demo_config, demo_oracle
@@ -99,8 +99,10 @@ def test_criterion_03_debt_scheduler_stays_within_one_selection():
     pool = WorkerPool(n=10, k=6, fairness=np.full(10, 0.5))
     oracle = demo_oracle()
     ledger = DebtLedger.fresh(10)
-    selections = [fairdg_round(pool, oracle, ledger) for _ in range(ACCEPT_HORIZON)]
-    trace = SelectionTrace(10, selections, np.zeros(ACCEPT_HORIZON))
+    selected = np.zeros((ACCEPT_HORIZON, 10), dtype=bool)
+    for t in range(ACCEPT_HORIZON):
+        selected[t, fairdg_round(pool, oracle, ledger)] = True
+    trace = SelectionTrace(selected, np.zeros(ACCEPT_HORIZON))
     worst = float(trace.max_debt(pool.fairness).max())
     _criterion(
         3,
@@ -302,7 +304,7 @@ def test_criterion_09_feasibility_iff_schedulable():
             # up to the 1/T rounding allowance
             assert is_feasible(r, k)
             pool = WorkerPool(n=n, k=k, fairness=r)
-            fractions = round_robin_fractions(pool, horizon)
+            fractions = round_robin_policy(pool, horizon).mean(axis=0)
             shortfall = float((fractions - (r - 1.0 / horizon)).min())
             worst_gap = min(worst_gap, shortfall)
             assert shortfall >= -1e-12

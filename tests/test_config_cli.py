@@ -168,6 +168,24 @@ def test_cli_sweep(tmp_path, capsys):
     assert "ratio=" in capsys.readouterr().out
 
 
+def test_cli_sweep_above_the_lp_cap_leaves_u_opt_blank(tmp_path, capsys):
+    # C(10, 6) = 210 subsets exceed the cap: no run solves the LP, and the
+    # sweep reports utilities without U_opt instead of raising
+    raw = demo_config(policy="faircg1", horizon=300)
+    raw["subset_cap"] = 100
+    path = _write(tmp_path, raw)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 11 * 3  # every demo beta, three fair policies
+    for line in lines[1:]:
+        beta, policy, status, u_opt, mean, ratio, bound = line.split(",")
+        assert status == "ok"
+        assert (u_opt, ratio, bound) == ("", "", "")
+        assert float(mean) > 0.0
+    capsys.readouterr()
+
+
 def test_sweep_requires_a_base_profile(tmp_path):
     raw = demo_config(horizon=100)
     raw["fairness"] = {"explicit": [0.1] * 10}

@@ -11,7 +11,6 @@ from fairsel import (
     marginal_gain,
     round_robin_policy,
 )
-from fairsel.discrete import round_robin_fractions
 
 from conftest import make_random_floors, make_random_oracle
 
@@ -109,17 +108,62 @@ def test_greedy_full_ground_set():
 
 def test_round_robin_hand_example():
     pool = WorkerPool(n=2, k=1, fairness=np.array([0.5, 0.5]))
-    assert round_robin_policy(pool, 4) == [(0,), (0,), (1,), (1,)]
+    selected = round_robin_policy(pool, 4)
+    assert selected.tolist() == [[True, False], [True, False], [False, True], [False, True]]
 
 
 def test_round_robin_pads_with_lowest_free_ids():
     pool = WorkerPool(n=4, k=2, fairness=np.zeros(4))
-    assert round_robin_policy(pool, 3) == [(0, 1)] * 3
+    assert round_robin_policy(pool, 3).tolist() == [[True, True, False, False]] * 3
+
+
+def _round_robin_reference(pool, horizon):
+    """The documented schedule, one round at a time: slot grid, then pad
+    each short round with the lowest ids it does not hold yet."""
+    n, k, t_total = pool.n, pool.k, horizon
+    bounds = np.ceil(np.cumsum(pool.fairness) * t_total - 1e-9).astype(np.int64)
+    bounds = np.clip(bounds, 0, k * t_total)
+    counts = bounds - np.concatenate([[0], bounds[:-1]])
+    grid = np.full((k, t_total), -1, dtype=np.int64)
+    slot_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
+    slots = np.arange(slot_ids.size, dtype=np.int64)
+    grid[slots // t_total, slots % t_total] = slot_ids
+    rounds = []
+    for t in range(t_total):
+        column = grid[:, t]
+        selected = set(int(u) for u in column[column >= 0])
+        filler = 0
+        while len(selected) < k:
+            if filler not in selected:
+                selected.add(filler)
+            filler += 1
+        rounds.append(tuple(sorted(selected)))
+    return rounds
+
+
+def test_round_robin_matches_the_per_round_reference():
+    rng = np.random.default_rng(4242)
+    for draw in range(240):
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, n + 1))
+        horizon = int(rng.integers(1, 301))
+        if draw % 4 == 0:
+            floors = np.zeros(n)  # every round is padding
+        elif draw % 4 == 1:
+            # quarter-step floors put ceil() on exact integers
+            floors = np.floor(make_random_floors(rng, n, k) * 4.0) / 4.0
+        else:
+            floors = make_random_floors(rng, n, k, load=float(rng.uniform(0.0, 1.0)))
+        pool = WorkerPool(n=n, k=k, fairness=floors)
+        selected = round_robin_policy(pool, horizon)
+        assert selected.shape == (horizon, n)
+        got = [tuple(np.flatnonzero(row).tolist()) for row in selected]
+        assert got == _round_robin_reference(pool, horizon), (n, k, horizon, floors)
 
 
 def test_round_robin_meets_floors_on_the_demo(demo):
     pool, _ = demo
-    fractions = round_robin_fractions(pool, 10_000)
+    fractions = round_robin_policy(pool, 10_000).mean(axis=0)
     assert (fractions >= pool.fairness - 1e-4).all()
 
 
@@ -130,18 +174,16 @@ def test_round_robin_meets_floors_on_random_instances():
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n + 1))
         pool = WorkerPool(n=n, k=k, fairness=make_random_floors(rng, n, k))
-        fractions = round_robin_fractions(pool, horizon)
+        fractions = round_robin_policy(pool, horizon).mean(axis=0)
         assert (fractions >= pool.fairness - 1.0 / horizon - 1e-12).all()
 
 
 def test_round_robin_rounds_are_well_formed():
     pool = WorkerPool(n=5, k=3, fairness=np.array([0.9, 0.4, 0.4, 0.7, 0.2]))
-    rounds = round_robin_policy(pool, 97)
-    assert len(rounds) == 97
-    for sel in rounds:
-        assert len(sel) == 3
-        assert len(set(sel)) == 3
-        assert sel == tuple(sorted(sel))
+    selected = round_robin_policy(pool, 97)
+    assert selected.shape == (97, 5)
+    assert selected.dtype == bool
+    assert (selected.sum(axis=1) == 3).all()
 
 
 def test_round_robin_errors():

@@ -19,17 +19,27 @@ from fairsel.metrics import concession_rate
 from fairsel.multilinear import ExtensionEstimator
 
 
+def _rounded_matrix(y, seed, member, horizon):
+    """(T, n) selection matrix of T independent roundings of y."""
+    selected = np.zeros((horizon, len(y)), dtype=bool)
+    for t in range(horizon):
+        selected[t, dep_round(y, derive_rng(seed, member, t))] = True
+    return selected
+
+
 @pytest.fixture()
 def tiny_trace():
-    # three workers, four rounds
-    sels = [(0, 1), (0, 2), (0, 1), (0, 2)]
+    # three workers, four rounds: {0,1}, {0,2}, {0,1}, {0,2}
+    selected = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 0], [1, 0, 1]], dtype=bool)
     uts = [1.0, 2.0, 3.0, 2.0]
-    return SelectionTrace(3, sels, uts)
+    return SelectionTrace(selected, uts)
 
 
 def test_trace_views(tiny_trace):
     assert tiny_trace.horizon == 4
+    assert tiny_trace.n == 3
     assert tiny_trace.selection_matrix().sum() == 8
+    assert tiny_trace.selections.tolist() == [[0, 1], [0, 2], [0, 1], [0, 2]]
     assert tiny_trace.cumulative_counts()[-1].tolist() == [4, 2, 2]
     assert tiny_trace.fractions() == pytest.approx([1.0, 0.5, 0.5])
     assert tiny_trace.running_average() == pytest.approx([1.0, 1.5, 2.0, 2.0])
@@ -46,9 +56,18 @@ def test_max_debt_by_hand(tiny_trace):
 
 def test_trace_validation():
     with pytest.raises(ValueError):
-        SelectionTrace(2, [(0,)], [1.0, 2.0])
+        SelectionTrace(np.zeros((1, 2), dtype=bool), [1.0, 2.0])
     with pytest.raises(ValueError):
-        SelectionTrace(2, [], [])
+        SelectionTrace(np.zeros((0, 2), dtype=bool), [])
+    with pytest.raises(ValueError):
+        SelectionTrace(np.zeros(2, dtype=bool), [1.0])
+
+
+def test_selections_need_equal_round_sizes():
+    uneven = SelectionTrace(np.array([[1, 1, 0], [1, 0, 0]], dtype=bool), [1.0, 1.0])
+    with pytest.raises(ValueError):
+        uneven.selections
+    assert uneven.fractions().tolist() == [1.0, 0.5, 0.0]
 
 
 def test_fairness_report_flags(tiny_trace):
@@ -65,7 +84,7 @@ def test_fairness_report_flags(tiny_trace):
 
 def test_alpha_fairness_first_violation():
     # worker 1 never selected (r=0.6): first round with 0 < 0.6 - 1/t is t=2
-    trace = SelectionTrace(2, [(0,)] * 5, [0.0] * 5)
+    trace = SelectionTrace(np.tile([True, False], (5, 1)), [0.0] * 5)
     res = alpha_fairness_check(trace, [0.0, 0.6], alpha=1.0)
     assert not res.ok
     assert res.first_violation == (2, 1)
@@ -125,8 +144,7 @@ def test_hoeffding_tail_check():
     horizon, ensemble = 400, 150
     traces = []
     for m in range(ensemble):
-        sels = [dep_round(y, derive_rng(100, m, t)) for t in range(horizon)]
-        traces.append(SelectionTrace(4, sels, np.zeros(horizon)))
+        traces.append(SelectionTrace(_rounded_matrix(y, 100, m, horizon), np.zeros(horizon)))
     report = hoeffding_tail_check(traces, y.coords, delta=0.1)
     assert report.ok
     assert report.bound == pytest.approx(math.exp(-2 * horizon * 0.01), abs=1e-15)
@@ -135,14 +153,11 @@ def test_hoeffding_tail_check():
 
 def test_hoeffding_preconditions():
     y = FractionalPoint((0.5, 0.5))
-    traces = [
-        SelectionTrace(2, [dep_round(y, derive_rng(1, m, t)) for t in range(10)], np.zeros(10))
-        for m in range(100)
-    ]
+    traces = [SelectionTrace(_rounded_matrix(y, 1, m, 10), np.zeros(10)) for m in range(100)]
     with pytest.raises(ValueError):
         hoeffding_tail_check(traces[:99], y.coords, delta=0.1)
     with pytest.raises(ValueError):
         hoeffding_tail_check(traces, y.coords, delta=0.0)
-    short = SelectionTrace(2, [(0,)] * 9, np.zeros(9))
+    short = SelectionTrace(np.tile([True, False], (9, 1)), np.zeros(9))
     with pytest.raises(ValueError):
         hoeffding_tail_check(traces[:99] + [short], y.coords, delta=0.1)
