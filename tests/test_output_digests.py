@@ -4,7 +4,8 @@ Criterion 10 compares two reruns of the same code, so it cannot notice a
 change that alters the outputs consistently. These digests were taken once
 and must not move unless an output change is intended and declared; the
 manifest's oracle query counts are pinned alongside, since the manifest
-itself carries a wall time and is not byte-stable.
+itself carries a wall time and is not byte-stable. The demo runs use the
+exact extension, so two extra runs pin the Monte Carlo path as well.
 """
 import hashlib
 import json
@@ -23,6 +24,16 @@ PINNED_CSV_SHA256 = {
     "run-faircg2/fractions.csv": "572055988a1817f22ba433fc03b682dfd48b64f6e7a8a1ac3431d0377f2f1cca",
     "run-faircg2/rounds.csv": "79e3fe0e3524d1b8736002057f0dea3f12c6892775ac70ad2b04d0cbd0b44351",
     "run-faircg2/steps.csv": "21833d8a511c71dc73486be418d8d7d88370cacaeb847685dd7ff1ada33d25f2",
+    "run-faircg1-mc/bounds.csv": "973f01b7e5819100bfd8d78ad4afb0e1575fda58d9f9d4d877f94bd689ed8308",
+    "run-faircg1-mc/convergence.csv": "4ad300d8af3285b69ab8474c3fe89d35a77409cd8b75e85172363ccaaac043db",
+    "run-faircg1-mc/fractions.csv": "a83604393d3989ea66d2780cd3db9d6627f29576ad95eb09681f2fbf7209f30d",
+    "run-faircg1-mc/rounds.csv": "d15c4746595ace1706990ef2df6edcbc2b06311bdb9d56613b6f89c4d3bdfd2c",
+    "run-faircg1-mc/steps.csv": "4efbfb107cd85aeda4dd35861ab2a4105915a888db859ef06639b250699584f8",
+    "run-faircg2-mc/bounds.csv": "a2d2f49a0717dcddccf71489c74ea06cd3537f65900a5387d4dac4b60a6bec62",
+    "run-faircg2-mc/convergence.csv": "876b7dcb6b94bb3d96d5bec0f47af4c2be81d75e5f2498924e3441d2cef4dbe3",
+    "run-faircg2-mc/fractions.csv": "dc0406e24b4d48abd463c50a811c58a3d0a3b18f7399049a7dfc87c65ff2d5b4",
+    "run-faircg2-mc/rounds.csv": "eb3c19544252051e19953ed808d15e4f91ce73029ab88d824aef774ad430583f",
+    "run-faircg2-mc/steps.csv": "b3c67c285ba2cc06e31012f736f1b21874b71d758e4f1c178644e04067f5a179",
     "run-fairdg/convergence.csv": "7513a012cd1d12c66a24d231738a5d8a73603e10e1daeabbf33494f196571e9c",
     "run-fairdg/fractions.csv": "1a7e2db5fe94bcd85a33c3270a15fe638ef4a5636c8b27bd0e4679503204064f",
     "run-fairdg/rounds.csv": "d387d2c42fe47d26a427db411bf09728ac93ec1f83ff4ed5a77aa1b6584292a3",
@@ -39,6 +50,8 @@ PINNED_CSV_SHA256 = {
 PINNED_ORACLE_QUERIES = {
     "run-faircg1": 6282,
     "run-faircg2": 6282,
+    "run-faircg1-mc": 141406,
+    "run-faircg2-mc": 103490,
     "run-fairdg": 80319,
     "run-dg": 3045,
     "run-roundrobin": 3000,
@@ -50,6 +63,12 @@ def _jobs():
         raw = demo_config(policy=policy, horizon=3000)
         raw["emit_step_trace"] = True
         yield f"run-{policy}", "run", raw
+    for policy in ("faircg1", "faircg2"):
+        raw = demo_config(policy=policy, horizon=1000)
+        raw["estimator"] = {"mode": "monte_carlo", "samples": 2000}
+        raw["step_count"] = 8
+        raw["emit_step_trace"] = True
+        yield f"run-{policy}-mc", "run", raw
     sweep = demo_config(policy="faircg1", horizon=3000)
     sweep["sweep_betas"] = [0.18, 0.54]
     yield "sweep", "sweep", sweep
