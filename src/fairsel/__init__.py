@@ -24,13 +24,7 @@ from .metrics import (
     fairness_report,
     hoeffding_tail_check,
 )
-from .multilinear import (
-    ExtensionEstimator,
-    ExtensionEvaluator,
-    extension_exact,
-    extension_mc,
-    marginal_weights,
-)
+from .multilinear import ExtensionEstimator, ExtensionEvaluator
 from .oracles import (
     AccuracyOracle,
     CoverageOracle,
@@ -70,8 +64,6 @@ __all__ = [
     "dep_round",
     "derive_rng",
     "dg_round",
-    "extension_exact",
-    "extension_mc",
     "faircg1_fractional",
     "faircg2_fractional",
     "fairdg_round",
@@ -79,7 +71,6 @@ __all__ = [
     "hoeffding_tail_check",
     "is_feasible",
     "marginal_gain",
-    "marginal_weights",
     "maximize_linear",
     "round_robin_policy",
     "solve_uopt",

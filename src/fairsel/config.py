@@ -15,12 +15,18 @@ Optional keys (profile defaults fill anything left null/absent):
   horizon              rounds T
   master_seed          non-negative int (default 0)
   step_count           continuous-greedy discretization (default n^2)
-  estimator            {"mode", "samples", "chunk_size",
-                        "common_random_numbers", "exact_threshold"}
-  strict_debt          bool, debt rule > 0 instead of >= 0 (default false)
-  emit_step_trace      bool, write the per-step greedy trace CSV
+  estimator            {"mode": "auto" | "exact" | "monte_carlo", "samples": int};
+                       auto is exact up to n = 15, samples default to the profile's
+  strict_debt          true/false, debt rule > 0 instead of >= 0 (default false)
+  emit_step_trace      true/false, write the per-step greedy trace CSV
   sweep_betas          list of betas for the sweep command
-  subset_cap           variable cap for the stationary LP
+  subset_cap           variable cap for the stationary LP (default 1e5)
+  profile              fast | full (a profile passed by the caller wins)
+
+Integer keys (n, k, horizon, master_seed, step_count, subset_cap and
+estimator.samples) take integral numbers only: 6.7 and true are errors, not
+6 and 1. The two flags take JSON booleans only. Any other key, at the top
+level or inside "estimator", is rejected with its name.
 
 Profiles: "fast" (step_count 25, samples 1e4, horizon 1e4) for quick runs
 and tests; "full" (step_count n^2, samples n^5, horizon 1e5) reproduces the
@@ -31,13 +37,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .multilinear import ExtensionEstimator
+from .multilinear import ESTIMATOR_MODES, ExtensionEstimator
 from .oracles import AccuracyOracle, CoverageOracle, ModularOracle, UtilityOracle, WorkerPool
 from .presets import DEMO_BETAS
 
@@ -48,6 +55,15 @@ PROFILES: dict[str, dict[str, int | None]] = {
     "full": {"step_count": None, "samples": None, "horizon": 100_000},
 }
 DEFAULT_PROFILE = "fast"
+
+CONFIG_KEYS = frozenset(
+    (
+        "n", "k", "fairness", "oracle", "policy", "sample_counts", "horizon",
+        "master_seed", "step_count", "estimator", "strict_debt",
+        "emit_step_trace", "sweep_betas", "subset_cap", "profile",
+    )
+)
+ESTIMATOR_KEYS = ("mode", "samples")
 
 
 @dataclass(frozen=True)
@@ -60,7 +76,7 @@ class RunConfig:
     horizon: int
     master_seed: int
     step_count: int | None  # None = n^2
-    estimator: dict[str, Any]
+    estimator: dict[str, Any]  # {"mode", "samples"} as parse_config resolved them
     sample_counts: tuple[float, ...] | None = None
     strict_debt: bool = False
     emit_step_trace: bool = False
@@ -93,15 +109,8 @@ class RunConfig:
             return ModularOracle(**params)
         raise ValueError(f"unknown oracle kind {kind!r}")
 
-    def build_estimator(self, seed_offset: int = 0) -> ExtensionEstimator:
-        return ExtensionEstimator(
-            mode=self.estimator.get("mode", "auto"),
-            samples=self.estimator.get("samples"),
-            exact_threshold=self.estimator.get("exact_threshold", 15),
-            chunk_size=self.estimator.get("chunk_size", 4096),
-            common_random_numbers=self.estimator.get("common_random_numbers", True),
-            seed=self.master_seed + seed_offset,
-        )
+    def build_estimator(self) -> ExtensionEstimator:
+        return ExtensionEstimator(**self.estimator, seed=self.master_seed)
 
     def resolved_step_count(self) -> int:
         return self.step_count if self.step_count is not None else self.n**2
@@ -121,13 +130,7 @@ class RunConfig:
             "horizon": self.horizon,
             "master_seed": self.master_seed,
             "step_count": self.step_count,
-            "estimator": {
-                "mode": self.estimator.get("mode", "auto"),
-                "samples": self.estimator.get("samples"),
-                "exact_threshold": self.estimator.get("exact_threshold", 15),
-                "chunk_size": self.estimator.get("chunk_size", 4096),
-                "common_random_numbers": self.estimator.get("common_random_numbers", True),
-            },
+            "estimator": dict(self.estimator),
             "strict_debt": self.strict_debt,
             "emit_step_trace": self.emit_step_trace,
             "sweep_betas": list(self.sweep_betas),
@@ -157,6 +160,9 @@ def parse_config(
 ) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be a JSON object")
+    for key in raw:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
     profile_name = profile or raw.get("profile") or DEFAULT_PROFILE
     if profile_name not in PROFILES:
         raise ValueError(f"unknown profile {profile_name!r}; pick from {sorted(PROFILES)}")
@@ -177,24 +183,16 @@ def parse_config(
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
 
     horizon = raw.get("horizon")
-    if horizon is None:
-        horizon = defaults["horizon"]
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    horizon = _int_value(defaults["horizon"] if horizon is None else horizon, "horizon", 1)
 
-    master_seed = int(seed if seed is not None else raw.get("master_seed", 0))
-    if master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
+    master_seed = seed if seed is not None else raw.get("master_seed", 0)
+    master_seed = _int_value(master_seed, "master_seed", 0)
 
     step_count = raw.get("step_count", defaults["step_count"])
     if step_count is not None:
-        step_count = int(step_count)
-        if step_count < 1:
-            raise ValueError("step_count must be positive")
+        step_count = _int_value(step_count, "step_count", 1)
 
-    estimator = dict(raw.get("estimator") or {})
-    estimator.setdefault("samples", defaults["samples"])
+    estimator = _parse_estimator(raw.get("estimator"), defaults["samples"])
 
     sample_counts = raw.get("sample_counts")
     if sample_counts is not None:
@@ -216,10 +214,10 @@ def parse_config(
         step_count=step_count,
         estimator=estimator,
         sample_counts=sample_counts,
-        strict_debt=bool(raw.get("strict_debt", False)),
-        emit_step_trace=bool(raw.get("emit_step_trace", False)),
+        strict_debt=_bool_value(raw.get("strict_debt", False), "strict_debt"),
+        emit_step_trace=_bool_value(raw.get("emit_step_trace", False), "emit_step_trace"),
         sweep_betas=sweep_betas,
-        subset_cap=int(raw.get("subset_cap", 100_000)),
+        subset_cap=_int_value(raw.get("subset_cap", 100_000), "subset_cap", 1),
         profile=profile_name,
         fairness_base=fairness_base,
     )
@@ -228,10 +226,44 @@ def parse_config(
 def _require_int(raw: dict, key: str, minimum: int) -> int:
     if key not in raw:
         raise ValueError(f"config is missing required key {key!r}")
-    value = int(raw[key])
+    return _int_value(raw[key], key, minimum)
+
+
+def _int_value(value: Any, key: str, minimum: int) -> int:
+    """An integral JSON number of at least ``minimum``; rejects 6.7 and true."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValueError(f"{key} must be at least {minimum}, got {value}")
+        raise ValueError(f"{key} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _bool_value(value: Any, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
     return value
+
+
+def _parse_estimator(raw: Any, default_samples: int | None) -> dict[str, Any]:
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ValueError('"estimator" must be an object')
+    for key in raw:
+        if key not in ESTIMATOR_KEYS:
+            raise ValueError(
+                f"unknown config key estimator.{key}; the estimator takes "
+                + " and ".join(ESTIMATOR_KEYS)
+            )
+    mode = raw.get("mode", "auto")
+    if mode not in ESTIMATOR_MODES:
+        raise ValueError(f"estimator.mode must be one of {ESTIMATOR_MODES}, got {mode!r}")
+    samples = raw.get("samples", default_samples)
+    if samples is not None:
+        samples = _int_value(samples, "estimator.samples", 1)
+    return {"mode": mode, "samples": samples}
 
 
 def _parse_fairness(

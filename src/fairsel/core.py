@@ -61,12 +61,6 @@ class FractionalPoint:
     def n(self) -> int:
         return self.coords.size
 
-    def or_basis(self, u: int) -> "FractionalPoint":
-        """Coordinate-wise max with the u-th basis vector (force y_u = 1)."""
-        out = self.coords.copy()
-        out[u] = 1.0
-        return FractionalPoint(out)
-
     def sum(self) -> float:
         return float(self.coords.sum())
 

@@ -1,8 +1,8 @@
 """Continuous-greedy drivers over the fairness polytope.
 
 Both variants discretize the clock into ``step_count`` equal steps. At each
-step they ask the multilinear layer for the marginal weight vector at the
-current point, take the polytope point x maximizing that linear objective,
+step they ask the run's extension evaluator for the marginal weight vector at
+the current point, take the polytope point x maximizing that linear objective,
 and advance:
 
   variant one starts at the origin and moves at rate x;
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeasibilityError, FractionalPoint
-from .multilinear import ExtensionEstimator, ExtensionEvaluator
-from .oracles import UtilityOracle, WorkerPool
+from .multilinear import ExtensionEvaluator
+from .oracles import WorkerPool
 from .polytope import FairPolytope, maximize_linear
 
 # overshoot beyond 1 larger than this is a real bug, not float drift
@@ -54,25 +54,23 @@ class ContinuousGreedyResult:
 
 def faircg1_fractional(
     pool: WorkerPool,
-    oracle: UtilityOracle,
-    estimator: ExtensionEstimator | None = None,
+    evaluator: ExtensionEvaluator,
     step_count: int | None = None,
 ) -> ContinuousGreedyResult:
     """Grow y from the origin at rate x(tau)."""
-    return _drive(pool, oracle, estimator, step_count, variant="faircg1")
+    return _drive(pool, evaluator, step_count, variant="faircg1")
 
 
 def faircg2_fractional(
     pool: WorkerPool,
-    oracle: UtilityOracle,
-    estimator: ExtensionEstimator | None = None,
+    evaluator: ExtensionEvaluator,
     step_count: int | None = None,
 ) -> ContinuousGreedyResult:
     """Grow y from the fairness floor r at rate x(tau) - r."""
-    return _drive(pool, oracle, estimator, step_count, variant="faircg2")
+    return _drive(pool, evaluator, step_count, variant="faircg2")
 
 
-def _drive(pool, oracle, estimator, step_count, variant):
+def _drive(pool, evaluator, step_count, variant):
     polytope = FairPolytope.from_pool(pool)
     if not polytope.is_feasible():
         raise FeasibilityError(
@@ -81,7 +79,6 @@ def _drive(pool, oracle, estimator, step_count, variant):
     steps = int(step_count) if step_count is not None else pool.n**2
     if steps < 1:
         raise ValueError("step_count must be at least 1")
-    evaluator = ExtensionEvaluator(oracle, estimator)
     r = polytope.fairness
     y = np.zeros(pool.n) if variant == "faircg1" else r.copy()
     dt = 1.0 / steps

@@ -27,6 +27,8 @@ DEFAULT_SUBSET_CAP = 100_000
 PIVOT_CAP = 1_000_000
 _PIVOT_TOL = 1e-9
 _PHASE1_TOL = 1e-8
+# tableau rows per block of a pivot's update
+_PIVOT_ROWS = 4
 
 
 class SimplexTableau:
@@ -92,13 +94,13 @@ class SimplexTableau:
             else:
                 self._pivot(t, basis, i, pivot_col)
 
-        # phase two: real objective over the original columns
-        rows = len(basis)
-        body = np.hstack([t[:rows, :nc], t[:rows, -1:]])
-        obj = np.append(self.c.copy(), 0.0)
+        # phase two: real objective over the original columns, in the same
+        # tableau; the artificial columns ride along but may no longer enter
+        obj = np.zeros(t.shape[1])
+        obj[:nc] = self.c
         for i, bi in enumerate(basis):
-            obj -= self.c[bi] * body[i]
-        t = np.vstack([body, obj])
+            obj -= self.c[bi] * t[i]
+        t[-1] = obj
         self._iterate(t, basis, limit_cols=nc)
 
         z = np.zeros(nc)
@@ -145,7 +147,12 @@ class SimplexTableau:
         t[row] /= t[row, col]
         factors = t[:, col].copy()
         factors[row] = 0.0
-        t -= np.outer(factors, t[row])
+        # t -= outer(factors, t[row]) a few rows at a time: the same products
+        # and differences, without a tableau-sized temporary per pivot
+        pivot = t[row].copy()
+        for start in range(0, t.shape[0], _PIVOT_ROWS):
+            rows = slice(start, start + _PIVOT_ROWS)
+            t[rows] -= np.multiply.outer(factors[rows], pivot)
         basis[row] = col
 
 

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import FractionalPoint
-from .multilinear import ExtensionEstimator, ExtensionEvaluator
-from .oracles import UtilityOracle, WorkerPool
+from .multilinear import ExtensionEvaluator
+from .oracles import WorkerPool
 
 DEFAULT_FAIRNESS_EPS = 1e-3
+# rounds per block of the derived (T, n) count and debt views, so that a long
+# trace never holds a full count or debt matrix
+TRACE_BLOCK = 4096
 
 
 class SelectionTrace:
@@ -62,6 +65,16 @@ class SelectionTrace:
         """(T, n) matrix: N_u(t) after each round."""
         return np.cumsum(self.selected, axis=0, dtype=np.int64)
 
+    def count_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """cumulative_counts() TRACE_BLOCK rounds at a time, as pairs of the
+        round numbers t, a (rows, 1) column, and their (rows, n) counts N(t)."""
+        carry = np.zeros(self.n, dtype=np.int64)
+        for start in range(0, self.horizon, TRACE_BLOCK):
+            counts = np.cumsum(self.selected[start : start + TRACE_BLOCK], axis=0, dtype=np.int64)
+            counts += carry
+            carry = counts[-1].copy()
+            yield np.arange(start + 1, start + counts.shape[0] + 1)[:, None], counts
+
     def fractions(self) -> np.ndarray:
         return self.selected.sum(axis=0) / float(self.horizon)
 
@@ -74,9 +87,8 @@ class SelectionTrace:
 
     def max_debt(self, fairness: np.ndarray) -> np.ndarray:
         """Per-worker max over t of r_u * t - N_u(t)."""
-        t = np.arange(1, self.horizon + 1)[:, None]
-        debts = np.asarray(fairness, dtype=float)[None, :] * t - self.cumulative_counts()
-        return debts.max(axis=0)
+        r = np.asarray(fairness, dtype=float)[None, :]
+        return np.max([(r * t - counts).max(axis=0) for t, counts in self.count_blocks()], axis=0)
 
 
 @dataclass(frozen=True)
@@ -179,14 +191,12 @@ def concession_rate(pool: WorkerPool) -> float:
 
 def bound_certificates(
     pool: WorkerPool,
-    oracle: UtilityOracle,
+    evaluator: ExtensionEvaluator,
     y1: FractionalPoint | Iterable[float],
     u_opt: float,
     f_of_r: float,
-    estimator: ExtensionEstimator | None = None,
     tol: float = 1e-3,
 ) -> BoundCertificates:
-    evaluator = ExtensionEvaluator(oracle, estimator)
     value, sigma = evaluator.value_with_stderr(FractionalPoint.coerce(y1))
     c_r = concession_rate(pool)
     bound_one = (1.0 - 1.0 / math.e) * u_opt

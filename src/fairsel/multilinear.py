@@ -1,21 +1,25 @@
 """Multilinear relaxation of a set utility and its marginal weights.
 
 F(y) is the expected utility of the random set that includes each worker u
-independently with probability y_u. Exact evaluation enumerates all 2^n
-subsets and is the default up to n = 15; beyond that a Monte Carlo estimate
-averages f over sampled sets. Sampling is chunked with per-chunk derived
-seeds and summed in fixed chunk order, so a given (seed, samples, chunk_size)
-triple is bit-reproducible no matter how the chunks are scheduled.
+independently with probability y_u. ``ExtensionEvaluator`` is the one entry
+point: it binds an oracle to an ``ExtensionEstimator`` (mode and sample
+count) and answers F(y), its standard error, and the marginal weights.
 
-Marginal weights are w_u = F(y with y_u forced to 1) - F(y). Under common
-random numbers (the default) the forced and baseline evaluations share the
-same sampled sets, which makes every per-sample difference non-negative for
-a monotone utility and cuts the variance sharply.
+Exact evaluation enumerates all 2^n subsets once per evaluator and is what
+mode "auto" picks up to n = EXACT_LIMIT; beyond that a Monte Carlo estimate
+averages f over sampled sets. Samples are drawn in chunks of DEFAULT_CHUNK
+rows, chunk c of stream s from derive_rng(seed, _MC_STREAM, s, c), and summed
+in chunk order, so a given (seed, samples, stream) is bit-reproducible.
+
+Marginal weights are w_u = F(y with y_u forced to 1) - F(y). The forced and
+baseline evaluations share the same sampled sets (common random numbers),
+which makes every per-sample difference non-negative for a monotone utility,
+cuts the variance sharply, and re-queries only the rows whose set changes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .oracles import UtilityOracle, all_subset_masks
 
 EXACT_LIMIT = 15
 DEFAULT_CHUNK = 4096
+ESTIMATOR_MODES = ("auto", "exact", "monte_carlo")
 # stream tag separating estimator draws from every other consumer of a seed
 _MC_STREAM = 7
 
@@ -32,113 +37,36 @@ _MC_STREAM = 7
 class ExtensionEstimator:
     """How to evaluate the extension.
 
-    mode: "exact", "monte_carlo", or "auto" (exact when n <= exact_threshold).
+    mode: "exact", "monte_carlo", or "auto" (exact when n <= EXACT_LIMIT).
     samples: Monte Carlo sample count; default n**5.
-    chunk_size: samples are drawn in chunks of this size, each chunk with its
-        own derived seed.
-    common_random_numbers: share draws between baseline and forced evaluations
-        when computing marginal weights.
     seed: master seed for every draw this estimator makes.
     """
 
     mode: str = "auto"
     samples: int | None = None
-    exact_threshold: int = EXACT_LIMIT
-    chunk_size: int = DEFAULT_CHUNK
-    common_random_numbers: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("auto", "exact", "monte_carlo"):
+        if self.mode not in ESTIMATOR_MODES:
             raise ValueError(f"unknown estimator mode {self.mode!r}")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be positive")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        if not 0 <= self.exact_threshold <= EXACT_LIMIT:
-            raise ValueError(f"exact_threshold must lie in 0..{EXACT_LIMIT}")
 
     def resolve_mode(self, n: int) -> str:
         if self.mode == "auto":
-            return "exact" if n <= self.exact_threshold else "monte_carlo"
+            return "exact" if n <= EXACT_LIMIT else "monte_carlo"
         return self.mode
 
     def sample_count(self, n: int) -> int:
         return self.samples if self.samples is not None else n**5
 
 
-def extension_exact(oracle: UtilityOracle, y: FractionalPoint | Iterable[float]) -> float:
-    """F(y) by full subset enumeration. Costs 2^n queries; n <= 15 only."""
-    return ExtensionEvaluator(oracle, ExtensionEstimator(mode="exact")).value(y)
-
-
-def extension_mc(
-    oracle: UtilityOracle,
-    y: FractionalPoint | Iterable[float],
-    samples: int,
-    seed: int = 0,
-    chunk_size: int = DEFAULT_CHUNK,
-    stream: int = 0,
-) -> float:
-    """Monte Carlo estimate of F(y); deterministic given (seed, samples, chunk_size)."""
-    mean, _ = extension_mc_stats(
-        oracle, y, samples, seed=seed, chunk_size=chunk_size, stream=stream
-    )
-    return mean
-
-
-def extension_mc_stats(
-    oracle: UtilityOracle,
-    y: FractionalPoint | Iterable[float],
-    samples: int,
-    seed: int = 0,
-    chunk_size: int = DEFAULT_CHUNK,
-    stream: int = 0,
-) -> tuple[float, float]:
-    """(estimate, standard error) of F(y) from ``samples`` sampled sets."""
-    point = FractionalPoint.coerce(y)
-    if point.n != oracle.n:
-        raise ValueError(f"point has {point.n} coordinates but oracle has {oracle.n}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    coords = point.coords
-    total = 0.0
-    total_sq = 0.0
-    for chunk_index, size in enumerate(_chunk_sizes(samples, chunk_size)):
-        rng = derive_rng(seed, _MC_STREAM, stream, chunk_index)
-        draws = rng.random((size, coords.size))
-        vals = oracle.evaluate_many(draws < coords)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / samples
-    variance = max(total_sq / samples - mean * mean, 0.0)
-    return mean, float(np.sqrt(variance / samples))
-
-
-def marginal_weights(
-    oracle: UtilityOracle,
-    y: FractionalPoint | Iterable[float],
-    estimator: ExtensionEstimator | None = None,
-    stream: int = 0,
-    with_value: bool = False,
-):
-    """Weight vector w with w_u = F(y forced at u) - F(y).
-
-    ``stream`` separates the draws of repeated calls under one estimator seed
-    (continuous-greedy steps pass their step index). With ``with_value`` the
-    baseline F(y) is returned too, so callers auditing per-step bounds do not
-    pay for a second evaluation.
-    """
-    evaluator = ExtensionEvaluator(oracle, estimator or ExtensionEstimator())
-    return evaluator.weights(y, stream=stream, with_value=with_value)
-
-
 class ExtensionEvaluator:
     """Binds an oracle to estimator settings; caches the exact subset table.
 
     In exact mode the 2^n utility table is built once (2^n queries) and every
-    later evaluation is a weighted sum over it, which is what keeps the
-    continuous-greedy drivers cheap on enumeration-sized instances.
+    later evaluation is a weighted sum over it, so one evaluator shared by a
+    whole run pays for the table once.
     """
 
     def __init__(self, oracle: UtilityOracle, estimator: ExtensionEstimator | None = None):
@@ -157,24 +85,27 @@ class ExtensionEvaluator:
         return self.value_with_stderr(y, stream=stream)[0]
 
     def value_with_stderr(self, y, stream: int = 0) -> tuple[float, float]:
-        point = self._point(y)
+        """(F(y), standard error); the error is 0.0 in exact mode.
+
+        ``stream`` separates the draws of repeated calls under one seed
+        (continuous-greedy steps pass their step index).
+        """
+        coords = self._point(y).coords
         if self.mode == "exact":
-            return self._value_exact(point.coords), 0.0
-        return extension_mc_stats(
-            self.oracle,
-            point,
-            self.estimator.sample_count(self.oracle.n),
-            seed=self.estimator.seed,
-            chunk_size=self.estimator.chunk_size,
-            stream=stream,
-        )
+            return self._value_exact(coords), 0.0
+        return self._value_mc(coords, stream)
 
     def weights(self, y, stream: int = 0, with_value: bool = False):
-        point = self._point(y)
+        """Weight vector w with w_u = F(y forced at u) - F(y).
+
+        With ``with_value`` the baseline F(y) is returned too, so callers
+        auditing per-step bounds do not pay for a second evaluation.
+        """
+        coords = self._point(y).coords
         if self.mode == "exact":
-            w, base = self._weights_exact(point.coords)
+            w, base = self._weights_exact(coords)
         else:
-            w, base = self._weights_mc(point.coords, stream)
+            w, base = self._weights_mc(coords, stream)
         return (w, base) if with_value else w
 
     def _point(self, y) -> FractionalPoint:
@@ -208,56 +139,44 @@ class ExtensionEvaluator:
             w[u] = self._value_exact(forced) - base
         return w, base
 
+    def _sampled_sets(self, coords: np.ndarray, stream: int) -> Iterator[np.ndarray]:
+        """Each chunk's sampled sets as a (rows, n) bool matrix, in chunk order."""
+        n = coords.size
+        full, rest = divmod(self.estimator.sample_count(n), DEFAULT_CHUNK)
+        sizes = [DEFAULT_CHUNK] * full + ([rest] if rest else [])
+        for chunk_index, size in enumerate(sizes):
+            rng = derive_rng(self.estimator.seed, _MC_STREAM, stream, chunk_index)
+            yield rng.random((size, n)) < coords
+
+    def _value_mc(self, coords: np.ndarray, stream: int) -> tuple[float, float]:
+        samples = self.estimator.sample_count(coords.size)
+        total = 0.0
+        total_sq = 0.0
+        for sets in self._sampled_sets(coords, stream):
+            vals = self.oracle.evaluate_many(sets)
+            total += float(vals.sum())
+            total_sq += float((vals * vals).sum())
+        mean = total / samples
+        variance = max(total_sq / samples - mean * mean, 0.0)
+        return mean, float(np.sqrt(variance / samples))
+
     def _weights_mc(self, coords: np.ndarray, stream: int) -> tuple[np.ndarray, float]:
         n = coords.size
         samples = self.estimator.sample_count(n)
-        seed = self.estimator.seed
         base_total = 0.0
         forced_totals = np.zeros(n)
-        if self.estimator.common_random_numbers:
-            # one shared set of draws; forced evaluations only re-query rows
-            # whose sampled set actually changes
-            for chunk_index, size in enumerate(
-                _chunk_sizes(samples, self.estimator.chunk_size)
-            ):
-                rng = derive_rng(seed, _MC_STREAM, stream, chunk_index)
-                draws = rng.random((size, n))
-                sets = draws < coords
-                vals = self.oracle.evaluate_many(sets)
-                base_total += float(vals.sum())
-                for u in range(n):
-                    present = sets[:, u]
-                    forced_totals[u] += float(vals[present].sum())
-                    missing = sets[~present]
-                    if missing.shape[0]:
-                        missing[:, u] = True
-                        forced_totals[u] += float(
-                            self.oracle.evaluate_many(missing).sum()
-                        )
-        else:
-            # independent draws per evaluation point (index 0 is the baseline)
-            for point_index in range(n + 1):
-                total = 0.0
-                for chunk_index, size in enumerate(
-                    _chunk_sizes(samples, self.estimator.chunk_size)
-                ):
-                    rng = derive_rng(seed, _MC_STREAM, stream, point_index, chunk_index)
-                    draws = rng.random((size, n))
-                    sets = draws < coords
-                    if point_index > 0:
-                        sets[:, point_index - 1] = True
-                    total += float(self.oracle.evaluate_many(sets).sum())
-                if point_index == 0:
-                    base_total = total
-                else:
-                    forced_totals[point_index - 1] = total
+        for sets in self._sampled_sets(coords, stream):
+            vals = self.oracle.evaluate_many(sets)
+            base_total += float(vals.sum())
+            for u in range(n):
+                present = sets[:, u]
+                forced_totals[u] += float(vals[present].sum())
+                missing = sets[~present]
+                if missing.shape[0]:
+                    missing[:, u] = True
+                    forced_totals[u] += float(self.oracle.evaluate_many(missing).sum())
         base = base_total / samples
         w = forced_totals / samples - base
         # sampling noise can push a true-zero weight slightly negative
         np.maximum(w, 0.0, out=w)
         return w, base
-
-
-def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
-    full, rest = divmod(samples, chunk_size)
-    return [chunk_size] * full + ([rest] if rest else [])

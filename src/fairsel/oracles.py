@@ -20,6 +20,10 @@ from .core import SizeLimitError
 
 # exhaustive structure checks enumerate all 2^n subsets
 CHECK_LIMIT = 12
+# evaluate_many hands the oracle at most this many rows at a time, so its
+# per-row temporaries (one float per covered item, say) stay a few MB even
+# on a 2e4-round trace
+EVAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,19 @@ class UtilityOracle(ABC):
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         """f over a batch of sets given as an (m, n) boolean matrix.
 
-        Costs m queries (one per row)."""
+        Costs m queries (one per row). Rows are evaluated in blocks of
+        EVAL_BLOCK; each row's value does not depend on the blocking."""
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self._n:
             raise ValueError(f"mask batch must have shape (m, {self._n})")
-        self._charge(masks.shape[0])
-        return self._values(masks)
+        m = masks.shape[0]
+        self._charge(m)
+        if m <= EVAL_BLOCK:
+            return self._values(masks)
+        out = np.empty(m)
+        for start in range(0, m, EVAL_BLOCK):
+            out[start : start + EVAL_BLOCK] = self._values(masks[start : start + EVAL_BLOCK])
+        return out
 
     def _mask_of(self, s: Iterable[int]) -> np.ndarray:
         mask = np.zeros(self._n, dtype=bool)

@@ -38,7 +38,7 @@ from .metrics import (
 from .multilinear import ExtensionEvaluator
 from .oracles import WorkerPool
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ROUND_STREAM = 11
 
 
@@ -60,16 +60,21 @@ def execute_run(config: RunConfig) -> RunResult:
     started = time.perf_counter()
     pool = config.build_pool()
     oracle = config.build_oracle()
-    estimator = config.build_estimator()
     notes: list[str] = []
 
+    lp_solution: LpSolution | None = None
     greedy_result: ContinuousGreedyResult | None = None
     selected = np.zeros((config.horizon, pool.n), dtype=bool)
     if config.policy in ("faircg1", "faircg2"):
+        # the LP goes first, before the evaluator holds its exact 2^n table;
+        # that one evaluator then serves the driver, F(r) and the certificates
+        if math.comb(pool.n, pool.k) <= config.subset_cap:
+            lp_solution = solve_uopt(pool, oracle, subset_cap=config.subset_cap)
+        else:
+            notes.append("bound certificates skipped: subset count exceeds subset_cap")
+        evaluator = ExtensionEvaluator(oracle, config.build_estimator())
         driver = faircg1_fractional if config.policy == "faircg1" else faircg2_fractional
-        greedy_result = driver(
-            pool, oracle, estimator=estimator, step_count=config.resolved_step_count()
-        )
+        greedy_result = driver(pool, evaluator, step_count=config.resolved_step_count())
         for t in range(config.horizon):
             rng = derive_rng(config.master_seed, ROUND_STREAM, t)
             selected[t, dep_round(greedy_result.y1, rng)] = True
@@ -88,23 +93,12 @@ def execute_run(config: RunConfig) -> RunResult:
     trace = SelectionTrace(selected, oracle.evaluate_many(selected))
     report = fairness_report(trace, pool.fairness)
 
-    lp_solution: LpSolution | None = None
     certificates: BoundCertificates | None = None
-    if config.policy in ("faircg1", "faircg2"):
-        if math.comb(pool.n, pool.k) <= config.subset_cap:
-            lp_solution = solve_uopt(pool, oracle, subset_cap=config.subset_cap)
-            evaluator = ExtensionEvaluator(oracle, estimator)
-            f_of_r = evaluator.value(FractionalPoint(pool.fairness))
-            certificates = bound_certificates(
-                pool,
-                oracle,
-                greedy_result.y1,
-                lp_solution.u_opt,
-                f_of_r,
-                estimator=estimator,
-            )
-        else:
-            notes.append("bound certificates skipped: subset count exceeds subset_cap")
+    if lp_solution is not None:
+        f_of_r = evaluator.value(FractionalPoint(pool.fairness))
+        certificates = bound_certificates(
+            pool, evaluator, greedy_result.y1, lp_solution.u_opt, f_of_r
+        )
 
     return RunResult(
         config=config,
@@ -131,11 +125,18 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
 
     trace = result.trace
     running = trace.running_average()
-    counts = trace.cumulative_counts()
-    t_col = np.arange(1, trace.horizon + 1)
-    debt_by_round = (
-        result.pool.fairness[None, :] * t_col[:, None] - counts
-    ).max(axis=1)
+    # one pass over the cumulative counts, a block of rounds at a time, gives
+    # each round's max debt and the sampled rows of convergence.csv
+    r = result.pool.fairness[None, :]
+    stride = max(1, trace.horizon // 1000)
+    debt_blocks = []
+    convergence = ["round," + ",".join(f"fraction_{u}" for u in range(trace.n))]
+    for t, counts in trace.count_blocks():
+        debt_blocks.append((r * t - counts).max(axis=1))
+        for i in np.flatnonzero((t[:, 0] % stride == 0) | (t[:, 0] == trace.horizon)):
+            fracs = counts[i] / float(t[i, 0])
+            convergence.append(f"{t[i, 0]}," + ",".join(format_float(v) for v in fracs))
+    debt_by_round = np.concatenate(debt_blocks)
 
     # worker ids as strings; a round's row masks out the ids of its cell
     id_names = np.array([str(u) for u in range(trace.n)], dtype=object)
@@ -170,15 +171,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
         )
     written.append(_write_text(out / "fractions.csv", "\n".join(rows) + "\n"))
 
-    stride = max(1, trace.horizon // 1000)
-    rows = ["round," + ",".join(f"fraction_{u}" for u in range(result.pool.n))]
-    for t in range(trace.horizon):
-        if (t + 1) % stride == 0 or t + 1 == trace.horizon:
-            fracs = counts[t] / float(t + 1)
-            rows.append(
-                str(t + 1) + "," + ",".join(format_float(v) for v in fracs)
-            )
-    written.append(_write_text(out / "convergence.csv", "\n".join(rows) + "\n"))
+    written.append(_write_text(out / "convergence.csv", "\n".join(convergence) + "\n"))
 
     if result.certificates is not None:
         c = result.certificates
@@ -227,6 +220,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
 
 def _manifest_text(result: RunResult) -> str:
     cfg = result.config
+    estimator = cfg.build_estimator()
     pairs = [
         ("schema_version", str(SCHEMA_VERSION)),
         ("config_hash", cfg.config_hash()),
@@ -237,9 +231,8 @@ def _manifest_text(result: RunResult) -> str:
         ("horizon", str(cfg.horizon)),
         ("master_seed", str(cfg.master_seed)),
         ("step_count", str(cfg.resolved_step_count())),
-        ("estimator_mode", cfg.build_estimator().resolve_mode(cfg.n)),
-        ("estimator_samples", str(cfg.build_estimator().sample_count(cfg.n))),
-        ("common_random_numbers", str(cfg.estimator.get("common_random_numbers", True))),
+        ("estimator_mode", estimator.resolve_mode(cfg.n)),
+        ("estimator_samples", str(estimator.sample_count(cfg.n))),
         ("strict_debt", str(cfg.strict_debt)),
         ("mean_utility", format_float(result.trace.mean_utility())),
         ("u_opt", format_float(result.lp.u_opt) if result.lp else "not_computed"),

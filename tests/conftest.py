@@ -115,9 +115,9 @@ def certificate_instances():
         pool, oracle = make_random_instance(rng)
         lp = solve_uopt(pool, oracle)
         assert lp.status == "optimal"
-        res1 = faircg1_fractional(pool, oracle)
-        res2 = faircg2_fractional(pool, oracle)
         evaluator = ExtensionEvaluator(oracle)
+        res1 = faircg1_fractional(pool, evaluator)
+        res2 = faircg2_fractional(pool, evaluator)
         f_of_r = evaluator.value(pool.fairness)
         out.append(
             {

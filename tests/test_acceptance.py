@@ -33,7 +33,7 @@ from fairsel.cli import main
 from fairsel.config import parse_config
 from fairsel.discrete import round_robin_policy
 from fairsel.metrics import concession_rate
-from fairsel.multilinear import extension_mc
+from fairsel.multilinear import ExtensionEstimator, ExtensionEvaluator
 from fairsel.presets import DEMO_BETAS, demo_config, demo_oracle
 from fairsel.runner import execute_run, run_sweep
 
@@ -257,7 +257,8 @@ def test_criterion_08_equivalence_suites(accept_runs, certificate_instances):
     for oracle, y in band_instances:
         exact, sigma = exact_mean_sigma(oracle, y)
         for seed in range(50):
-            est = extension_mc(oracle, y, samples=samples, seed=seed)
+            estimator = ExtensionEstimator(mode="monte_carlo", samples=samples, seed=seed)
+            est = ExtensionEvaluator(oracle, estimator).value(y)
             worst_z = max(worst_z, abs(est - exact) / (sigma / math.sqrt(samples)))
     pass_c = worst_z <= 3.0
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,9 @@ import pytest
 
 from fairsel.cli import main
 from fairsel.config import RunConfig, load_config, parse_config
+from fairsel.core import format_float
+from fairsel.metrics import TRACE_BLOCK
+from fairsel.runner import execute_run, write_run_outputs
 from fairsel.presets import DEMO_MASTER_SEED, demo_config
 
 
@@ -68,6 +72,22 @@ def test_explicit_fairness_form():
         lambda raw: raw.update(step_count=0),
         lambda raw: raw.update(profile="turbo"),
         lambda raw: raw.update(oracle={"noise": True}),
+        lambda raw: raw.update(k=6.7),
+        lambda raw: raw.update(k=True),
+        lambda raw: raw.update(horizon=99.9),
+        lambda raw: raw.update(master_seed=1.5),
+        lambda raw: raw.update(step_count=True),
+        lambda raw: raw.update(subset_cap=10.5),
+        lambda raw: raw.update(estimator={"samples": 2.5}),
+        lambda raw: raw.update(estimator={"samples": True}),
+        lambda raw: raw.update(estimator={"mode": "bogus"}),
+        lambda raw: raw.update(strict_debt="false"),
+        lambda raw: raw.update(emit_step_trace=1),
+        lambda raw: raw.update(horizn=5),
+        lambda raw: raw.update(estimator={"sample": 100}),
+        lambda raw: raw.update(estimator={"common_random_numbers": False}),
+        lambda raw: raw.update(estimator={"exact_threshold": 10}),
+        lambda raw: raw.update(estimator={"chunk_size": 512}),
     ],
 )
 def test_validation_errors(mutate):
@@ -75,6 +95,32 @@ def test_validation_errors(mutate):
     mutate(raw)
     with pytest.raises(ValueError):
         parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"horizn": 5}, "'horizn'"),
+        ({"estimator": {"sample": 100}}, "estimator.sample;"),
+        ({"estimator": {"mode": "exact", "chunk_size": 512}}, "estimator.chunk_size"),
+        ({"k": 6.7}, "k must be an integer"),
+        ({"strict_debt": "false"}, "strict_debt must be true or false"),
+    ],
+)
+def test_validation_errors_name_the_key(changes, key):
+    raw = demo_config()
+    raw.update(changes)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        parse_config(raw)
+
+
+def test_integral_numbers_and_json_booleans_are_accepted():
+    raw = demo_config(horizon=300)
+    raw.update(k=6.0, strict_debt=True, estimator={"mode": "exact", "samples": 1e3})
+    cfg = parse_config(raw)
+    assert (cfg.k, cfg.horizon, cfg.strict_debt) == (6, 300, True)
+    assert cfg.estimator == {"mode": "exact", "samples": 1000}
+    assert cfg.build_estimator().samples == 1000
 
 
 def test_oracle_kinds_buildable():
@@ -120,7 +166,7 @@ def test_cli_run_writes_everything(tmp_path, capsys):
     )
     assert manifest["config_hash"] == load_config(path).config_hash()
     assert manifest["policy"] == "faircg2"
-    assert manifest["schema_version"] == "1"
+    assert manifest["schema_version"] == "2"
     assert manifest["estimator_mode"] == "exact"
     assert int(manifest["oracle_queries"]) > 0
     rounds = (out / "rounds.csv").read_text().splitlines()
@@ -128,6 +174,25 @@ def test_cli_run_writes_everything(tmp_path, capsys):
     assert len(rounds) == 301
     captured = capsys.readouterr().out
     assert "mean_utility=" in captured and "u_opt=" in captured
+
+
+def test_long_run_outputs_match_the_full_count_matrix(tmp_path):
+    # past two blocks of rounds, so the blocked debt and convergence pass joins
+    horizon = 2 * TRACE_BLOCK + 300
+    result = execute_run(parse_config(demo_config(policy="roundrobin", horizon=horizon)))
+    write_run_outputs(result, tmp_path)
+    counts = result.trace.cumulative_counts()
+    t = np.arange(1, horizon + 1)[:, None]
+    debts = (result.pool.fairness[None, :] * t - counts).max(axis=1)
+    rounds = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rounds] == [format_float(d) for d in debts]
+    stride = horizon // 1000
+    sampled = [i for i in range(horizon) if (i + 1) % stride == 0 or i + 1 == horizon]
+    expected = [
+        f"{i + 1}," + ",".join(format_float(v) for v in counts[i] / float(i + 1))
+        for i in sampled
+    ]
+    assert (tmp_path / "convergence.csv").read_text().splitlines()[1:] == expected
 
 
 def test_cli_seed_flag_changes_the_run(tmp_path):

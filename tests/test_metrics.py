@@ -15,8 +15,8 @@ from fairsel import (
     fairness_report,
     hoeffding_tail_check,
 )
-from fairsel.metrics import concession_rate
-from fairsel.multilinear import ExtensionEstimator
+from fairsel.metrics import TRACE_BLOCK, concession_rate
+from fairsel.multilinear import ExtensionEstimator, ExtensionEvaluator
 
 
 def _rounded_matrix(y, seed, member, horizon):
@@ -52,6 +52,20 @@ def test_max_debt_by_hand(tiny_trace):
     # worker 1 is unselected in rounds 2 and 4: debt peaks at 0.5*2-1 = 0 ... etc.
     debts = tiny_trace.max_debt(r)
     assert debts == pytest.approx([-0.5, 0.0, 0.5])
+
+
+def test_count_blocks_and_max_debt_match_the_full_matrices():
+    rng = np.random.default_rng(12)
+    horizon, n = 2 * TRACE_BLOCK + 7, 5
+    trace = SelectionTrace(rng.random((horizon, n)) < 0.4, np.zeros(horizon))
+    blocks = list(trace.count_blocks())
+    assert [counts.shape[0] for _, counts in blocks] == [TRACE_BLOCK, TRACE_BLOCK, 7]
+    t = np.concatenate([t for t, _ in blocks])
+    np.testing.assert_array_equal(t[:, 0], np.arange(1, horizon + 1))
+    full = trace.cumulative_counts()
+    np.testing.assert_array_equal(np.concatenate([counts for _, counts in blocks]), full)
+    r = rng.uniform(0.1, 0.6, n)
+    np.testing.assert_array_equal(trace.max_debt(r), (r[None, :] * t - full).max(axis=0))
 
 
 def test_trace_validation():
@@ -104,7 +118,8 @@ def test_concession_rate(demo):
 def test_bound_certificates_formulas(demo):
     pool, oracle = demo
     y1 = FractionalPoint(np.minimum(pool.fairness + 0.18, 1.0))
-    cert = bound_certificates(pool, oracle, y1, u_opt=0.85, f_of_r=0.83, tol=1e-3)
+    evaluator = ExtensionEvaluator(oracle)
+    cert = bound_certificates(pool, evaluator, y1, u_opt=0.85, f_of_r=0.83, tol=1e-3)
     c_r = concession_rate(pool)
     assert cert.mode == "exact"
     assert cert.sigma == 0.0
@@ -120,11 +135,12 @@ def test_bound_certificate_tolerance_boundary():
     pool = WorkerPool(n=3, k=2, fairness=np.zeros(3))
     oracle = ModularOracle([1.0, 1.0, 1.0])
     y1 = FractionalPoint([1.0, 1.0, 0.0])  # extension value exactly 2
+    evaluator = ExtensionEvaluator(oracle)
     share = 1 - 1 / math.e
     just_inside = (2.0 + 0.9e-3) / share
-    assert bound_certificates(pool, oracle, y1, just_inside, 0.0).variant_one_ok
+    assert bound_certificates(pool, evaluator, y1, just_inside, 0.0).variant_one_ok
     just_outside = (2.0 + 1.1e-3) / share
-    assert not bound_certificates(pool, oracle, y1, just_outside, 0.0).variant_one_ok
+    assert not bound_certificates(pool, evaluator, y1, just_outside, 0.0).variant_one_ok
 
 
 def test_bound_certificates_mc_mode_widens_tolerance():
@@ -132,7 +148,8 @@ def test_bound_certificates_mc_mode_widens_tolerance():
     oracle = ModularOracle([1.0, 1.0, 1.0])
     y1 = FractionalPoint([0.9, 0.9, 0.2])
     estimator = ExtensionEstimator(mode="monte_carlo", samples=4000, seed=3)
-    cert = bound_certificates(pool, oracle, y1, u_opt=2.0, f_of_r=0.0, estimator=estimator)
+    evaluator = ExtensionEvaluator(oracle, estimator)
+    cert = bound_certificates(pool, evaluator, y1, u_opt=2.0, f_of_r=0.0)
     assert cert.mode == "monte_carlo"
     assert cert.sigma > 0.0
     slack = cert.tol + 3.0 * cert.sigma

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairsel import (
     CoverageOracle,
@@ -7,13 +8,15 @@ from fairsel import (
     SizeLimitError,
     ExtensionEstimator,
     ExtensionEvaluator,
-    extension_exact,
-    extension_mc,
-    marginal_weights,
 )
-from fairsel.multilinear import extension_mc_stats
 
-from conftest import make_random_oracle
+from conftest import ORACLE_KINDS, make_random_oracle
+
+EXACT = ExtensionEstimator(mode="exact")
+
+
+def mc(samples, seed=0):
+    return ExtensionEstimator(mode="monte_carlo", samples=samples, seed=seed)
 
 
 @pytest.fixture()
@@ -23,69 +26,71 @@ def two_worker():
 
 
 def test_exact_two_worker_example(two_worker):
-    assert extension_exact(two_worker, (0.5, 0.5)) == pytest.approx(0.875, abs=1e-12)
-    assert extension_exact(two_worker, (1.0, 0.5)) == pytest.approx(1.25, abs=1e-12)
+    evaluator = ExtensionEvaluator(two_worker, EXACT)
+    assert evaluator.value((0.5, 0.5)) == pytest.approx(0.875, abs=1e-12)
+    assert evaluator.value((1.0, 0.5)) == pytest.approx(1.25, abs=1e-12)
 
 
 def test_exact_weights_two_worker_example(two_worker):
-    w = marginal_weights(two_worker, (0.5, 0.5))
+    w = ExtensionEvaluator(two_worker).weights((0.5, 0.5))
     assert w == pytest.approx([0.375, 0.375], abs=1e-12)
 
 
 def test_extension_at_corners(demo):
     _, oracle = demo
     n = oracle.n
-    assert extension_exact(oracle, np.zeros(n)) == 0.0
+    evaluator = ExtensionEvaluator(oracle, EXACT)
+    assert evaluator.value(np.zeros(n)) == 0.0
     full = oracle.evaluate(range(n))
-    assert extension_exact(oracle, np.ones(n)) == pytest.approx(full, abs=1e-12)
+    assert evaluator.value(np.ones(n)) == pytest.approx(full, abs=1e-12)
 
 
 def test_extension_is_affine_per_coordinate():
     rng = np.random.default_rng(3)
     oracle = make_random_oracle(rng, 7)
+    evaluator = ExtensionEvaluator(oracle, EXACT)
     y = rng.uniform(0.1, 0.9, 7)
     for u in (0, 4, 6):
         lo, hi = y.copy(), y.copy()
         lo[u], hi[u] = 0.0, 1.0
-        expected = (1.0 - y[u]) * extension_exact(oracle, lo) + y[u] * extension_exact(
-            oracle, hi
-        )
-        assert extension_exact(oracle, y) == pytest.approx(expected, abs=1e-10)
+        expected = (1.0 - y[u]) * evaluator.value(lo) + y[u] * evaluator.value(hi)
+        assert evaluator.value(y) == pytest.approx(expected, abs=1e-10)
 
 
 def test_exact_weights_match_forced_differences():
     rng = np.random.default_rng(11)
     oracle = make_random_oracle(rng, 6)
+    evaluator = ExtensionEvaluator(oracle, EXACT)
     y = rng.uniform(0.0, 1.0, 6)
-    base = extension_exact(oracle, y)
-    w = marginal_weights(oracle, y)
+    base = evaluator.value(y)
+    w = evaluator.weights(y)
     for u in range(6):
         forced = y.copy()
         forced[u] = 1.0
-        assert w[u] == pytest.approx(extension_exact(oracle, forced) - base, abs=1e-10)
+        assert w[u] == pytest.approx(evaluator.value(forced) - base, abs=1e-10)
     assert (w >= 0.0).all()
 
 
 def test_weight_is_zero_at_saturated_coordinate():
     oracle = ModularOracle([0.3, 0.9])
-    w = marginal_weights(oracle, (1.0, 0.5))
+    w = ExtensionEvaluator(oracle).weights((1.0, 0.5))
     assert w[0] == 0.0
 
 
 def test_modular_weights_at_origin_equal_the_weights():
     m = np.array([0.2, 0.7, 0.1, 0.4])
-    w = marginal_weights(ModularOracle(m), np.zeros(4))
+    w = ExtensionEvaluator(ModularOracle(m)).weights(np.zeros(4))
     assert w == pytest.approx(m, abs=1e-12)
 
 
 def test_mc_exact_at_integral_points():
-    oracle = ModularOracle([1.0, 2.0, 3.0])
-    assert extension_mc(oracle, np.zeros(3), samples=100) == 0.0
-    assert extension_mc(oracle, np.ones(3), samples=100) == pytest.approx(6.0, abs=1e-12)
+    evaluator = ExtensionEvaluator(ModularOracle([1.0, 2.0, 3.0]), mc(100))
+    assert evaluator.value(np.zeros(3)) == 0.0
+    assert evaluator.value(np.ones(3)) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_mc_close_to_exact_on_two_worker_example(two_worker):
-    est = extension_mc(two_worker, (0.5, 0.5), samples=1_000_000, seed=0)
+    est = ExtensionEvaluator(two_worker, mc(1_000_000)).value((0.5, 0.5))
     assert est == pytest.approx(0.875, abs=0.005)
 
 
@@ -93,18 +98,19 @@ def test_mc_is_reproducible_and_seed_sensitive():
     rng = np.random.default_rng(5)
     oracle = make_random_oracle(rng, 8)
     y = rng.uniform(0.2, 0.8, 8)
-    a = extension_mc(oracle, y, samples=5000, seed=42, stream=3)
-    b = extension_mc(oracle, y, samples=5000, seed=42, stream=3)
+    evaluator = ExtensionEvaluator(oracle, mc(5000, seed=42))
+    a = evaluator.value(y, stream=3)
+    b = ExtensionEvaluator(oracle, mc(5000, seed=42)).value(y, stream=3)
     assert a == b  # bit-identical, not just close
-    assert a != extension_mc(oracle, y, samples=5000, seed=43, stream=3)
-    assert a != extension_mc(oracle, y, samples=5000, seed=42, stream=4)
+    assert a != ExtensionEvaluator(oracle, mc(5000, seed=43)).value(y, stream=3)
+    assert a != evaluator.value(y, stream=4)
 
 
 def test_mc_chunking_does_not_change_the_sample_law():
-    # same seed, same chunk size, samples not a multiple of the chunk
+    # samples not a multiple of the chunk size: the short last chunk counts
     oracle = ModularOracle(np.linspace(0.1, 1.0, 6))
     y = np.full(6, 0.5)
-    est, se = extension_mc_stats(oracle, y, samples=10_000, seed=9, chunk_size=4096)
+    est, se = ExtensionEvaluator(oracle, mc(10_000, seed=9)).value_with_stderr(y)
     assert se > 0.0
     assert est == pytest.approx(float(np.sum(y * np.linspace(0.1, 1.0, 6))), abs=4 * se)
 
@@ -113,34 +119,54 @@ def test_mc_weights_with_crn_are_nonnegative_and_accurate():
     rng = np.random.default_rng(21)
     oracle = make_random_oracle(rng, 9)
     y = rng.uniform(0.1, 0.9, 9)
-    exact_w = marginal_weights(oracle, y)
-    estimator = ExtensionEstimator(mode="monte_carlo", samples=40_000, seed=1)
-    w = marginal_weights(oracle, y, estimator=estimator)
+    exact_w = ExtensionEvaluator(oracle, EXACT).weights(y)
+    w = ExtensionEvaluator(oracle, mc(40_000, seed=1)).weights(y)
     assert (w >= 0.0).all()
     assert np.abs(w - exact_w).max() < 0.02
 
 
-def test_crn_uses_fewer_queries_than_independent_paths():
-    rng = np.random.default_rng(8)
-    oracle_a = make_random_oracle(rng, 6, kind="modular")
-    rng = np.random.default_rng(8)
-    oracle_b = make_random_oracle(rng, 6, kind="modular")
-    y = np.full(6, 0.5)
+# Coordinates sit at 0, 1 or inside [0.05, 0.95]: at 2000 samples every
+# worker is then drawn both in and out of the set. A coordinate of 1e-3 may
+# never be drawn at all, which leaves the sample sigma at 0 while F(y) is not.
+COORDINATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(ORACLE_KINDS),
+    y=st.lists(COORDINATES, min_size=1, max_size=8),
+)
+def test_sampled_extension_and_crn_weights_on_random_oracles(seed, kind, y):
+    oracle = make_random_oracle(np.random.default_rng(seed), len(y), kind=kind)
+    evaluator = ExtensionEvaluator(oracle, mc(2000, seed=seed))
+    exact = ExtensionEvaluator(oracle, EXACT)
+    value, sigma = evaluator.value_with_stderr(y)
+    assert abs(value - exact.value(y)) <= 4.0 * sigma + 1e-12
+    # per sample, f(S + u) - f(S) lies in [0, f({u})] for a monotone
+    # submodular f with f(empty) = 0, so every CRN average does too; by
+    # Hoeffding, 2000 such samples miss the exact weight by 0.1 f({u}) with
+    # probability below 1e-16
+    w = evaluator.weights(y)
+    singletons = np.array([oracle.evaluate({u}) for u in range(len(y))])
+    assert (w >= 0.0).all()
+    assert (w <= singletons + 1e-12).all()
+    assert (np.abs(w - exact.weights(y)) <= 0.1 * singletons + 1e-12).all()
+
+
+def test_crn_weights_cost_less_than_a_pass_per_point():
+    # independent draws would cost one full pass for the baseline and one per
+    # forced point; common random numbers re-query only the rows that change
+    oracle = make_random_oracle(np.random.default_rng(8), 6, kind="modular")
     samples = 2000
-    crn = ExtensionEstimator(mode="monte_carlo", samples=samples, seed=0)
-    marginal_weights(oracle_a, y, estimator=crn)
-    indep = ExtensionEstimator(
-        mode="monte_carlo", samples=samples, seed=0, common_random_numbers=False
-    )
-    marginal_weights(oracle_b, y, estimator=indep)
-    assert oracle_b.query_count == samples * 7  # baseline + one pass per element
-    assert oracle_a.query_count < oracle_b.query_count
+    ExtensionEvaluator(oracle, mc(samples)).weights(np.full(6, 0.5))
+    assert oracle.query_count < samples * (6 + 1)
 
 
 def test_evaluator_caches_the_exact_table(demo):
     _, oracle = demo
     oracle.reset_query_count()
-    evaluator = ExtensionEvaluator(oracle, ExtensionEstimator(mode="exact"))
+    evaluator = ExtensionEvaluator(oracle, EXACT)
     evaluator.value(np.full(10, 0.3))
     first = oracle.query_count
     assert first == 2**10
@@ -152,7 +178,7 @@ def test_evaluator_caches_the_exact_table(demo):
 def test_exact_mode_size_cap():
     oracle = ModularOracle(np.ones(16))
     with pytest.raises(SizeLimitError):
-        ExtensionEvaluator(oracle, ExtensionEstimator(mode="exact"))
+        ExtensionEvaluator(oracle, EXACT)
     # auto mode silently switches to sampling instead
     evaluator = ExtensionEvaluator(oracle, ExtensionEstimator(samples=500))
     assert evaluator.mode == "monte_carlo"
@@ -163,13 +189,9 @@ def test_estimator_validation():
         ExtensionEstimator(mode="bogus")
     with pytest.raises(ValueError):
         ExtensionEstimator(samples=0)
-    with pytest.raises(ValueError):
-        ExtensionEstimator(chunk_size=0)
-    with pytest.raises(ValueError):
-        ExtensionEstimator(exact_threshold=16)
 
 
 def test_point_dimension_mismatch_rejected():
     oracle = ModularOracle([1.0, 1.0])
     with pytest.raises(ValueError):
-        extension_exact(oracle, (0.5, 0.5, 0.5))
+        ExtensionEvaluator(oracle).value((0.5, 0.5, 0.5))

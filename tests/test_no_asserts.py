@@ -1,0 +1,22 @@
+"""Library invariants must hold under ``python -O``, which strips ``assert``.
+
+So the package raises its own errors (``ContractError`` and friends) and
+contains no ``assert`` statement at all; this walks every module's syntax
+tree to keep it that way.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairsel"
+
+
+def test_the_package_has_no_assert_statements():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules, f"no modules under {PACKAGE}"
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

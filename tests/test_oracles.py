@@ -14,7 +14,7 @@ from fairsel import (
     check_submodular_monotone,
     marginal_gain,
 )
-from fairsel.oracles import all_subset_masks
+from fairsel.oracles import EVAL_BLOCK, all_subset_masks
 
 from conftest import make_random_oracle
 
@@ -71,6 +71,21 @@ def test_query_accounting():
     assert oracle.query_count == 6
     oracle.reset_query_count()
     assert oracle.query_count == 0
+
+
+@pytest.mark.parametrize("kind", ["accuracy", "coverage", "modular"])
+def test_long_batches_go_to_the_oracle_in_blocks(kind):
+    rng = np.random.default_rng(31)
+    oracle = make_random_oracle(rng, 12, kind)
+    blocks = []
+    values_of = oracle._values
+    oracle._values = lambda masks: blocks.append(masks.shape[0]) or values_of(masks)
+    masks = rng.random((2 * EVAL_BLOCK + 5, 12)) < 0.5
+    values = oracle.evaluate_many(masks)
+    assert blocks == [EVAL_BLOCK, EVAL_BLOCK, 5]
+    assert oracle.query_count == masks.shape[0]
+    # blocking is invisible in the values, down to the last bit
+    np.testing.assert_array_equal(values, values_of(masks))
 
 
 def test_query_counter_is_thread_safe():

@@ -48,8 +48,8 @@ PINNED_CSV_SHA256 = {
 }
 
 PINNED_ORACLE_QUERIES = {
-    "run-faircg1": 6282,
-    "run-faircg2": 6282,
+    "run-faircg1": 4234,
+    "run-faircg2": 4234,
     "run-faircg1-mc": 141406,
     "run-faircg2-mc": 103490,
     "run-fairdg": 80319,

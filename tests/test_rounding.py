@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairsel import ContractError, FairPolytope, FractionalPoint, dep_round, derive_rng, maximize_linear
-from fairsel.multilinear import extension_exact
+from fairsel.multilinear import ExtensionEvaluator
 
 from conftest import make_random_floors, make_random_oracle
 
@@ -77,7 +77,7 @@ def test_rounded_value_does_not_fall_below_the_extension():
     rng = np.random.default_rng(44)
     oracle = make_random_oracle(rng, 8, kind="coverage")
     y = FractionalPoint((0.5, 0.25, 0.75, 0.5, 0.5, 0.25, 0.75, 0.5))
-    base = extension_exact(oracle, y)
+    base = ExtensionEvaluator(oracle).value(y)
     draws = derive_rng(44, 1)
     trials = 20_000
     masks = np.zeros((trials, 8), dtype=bool)
