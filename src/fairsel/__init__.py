@@ -34,7 +34,7 @@ from .oracles import (
     check_submodular_monotone,
     marginal_gain,
 )
-from .polytope import FairPolytope, is_feasible, maximize_linear
+from .polytope import maximize_linear
 from .rounding import dep_round
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "DebtLedger",
     "ExtensionEstimator",
     "ExtensionEvaluator",
-    "FairPolytope",
     "FeasibilityError",
     "FractionalPoint",
     "LpSolution",
@@ -69,7 +68,6 @@ __all__ = [
     "fairdg_round",
     "fairness_report",
     "hoeffding_tail_check",
-    "is_feasible",
     "marginal_gain",
     "maximize_linear",
     "round_robin_policy",

@@ -9,12 +9,14 @@ A config file is a single JSON object. Required keys:
                        | {"kind": "modular", "weights": [...]}
   policy               faircg1 | faircg2 | fairdg | dg | roundrobin
 
-Optional keys (profile defaults fill anything left null/absent):
+Optional keys (an absent key takes its default; null means the same for
+horizon, step_count, estimator.samples, sample_counts and sweep_betas, and
+is an error elsewhere):
 
   sample_counts        per-worker L_u (required by the accuracy oracle)
   horizon              rounds T
   master_seed          non-negative int (default 0)
-  step_count           continuous-greedy discretization (default n^2)
+  step_count           continuous-greedy discretization (fast: 25, full: n^2)
   estimator            {"mode": "auto" | "exact" | "monte_carlo", "samples": int};
                        auto is exact up to n = 15, samples default to the profile's
   strict_debt          true/false, debt rule > 0 instead of >= 0 (default false)
@@ -25,8 +27,11 @@ Optional keys (profile defaults fill anything left null/absent):
 
 Integer keys (n, k, horizon, master_seed, step_count, subset_cap and
 estimator.samples) take integral numbers only: 6.7 and true are errors, not
-6 and 1. The two flags take JSON booleans only. Any other key, at the top
-level or inside "estimator", is rejected with its name.
+6 and 1. The numbers of fairness, sample_counts and sweep_betas must be JSON
+numbers, so true and "0.3" are errors too. The two flags take JSON booleans
+only. Any other key, at the top level or inside "fairness", "estimator" or
+"oracle" (each oracle kind takes only the parameters listed above, and a
+coverage or modular oracle needs all of them), is rejected with its name.
 
 Profiles: "fast" (step_count 25, samples 1e4, horizon 1e4) for quick runs
 and tests; "full" (step_count n^2, samples n^5, horizon 1e5) reproduces the
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -55,6 +61,14 @@ PROFILES: dict[str, dict[str, int | None]] = {
     "full": {"step_count": None, "samples": None, "horizon": 100_000},
 }
 DEFAULT_PROFILE = "fast"
+
+FAIRNESS_FORMS = 'config needs "fairness" as {"explicit": [...]} or {"beta": b, "base": [...]}'
+# oracle kind -> (parameters it needs, parameters it may take)
+ORACLE_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "accuracy": ((), ("min_error", "scale", "exponent")),
+    "coverage": (("item_weights", "covers"), ()),
+    "modular": (("weights",), ()),
+}
 
 CONFIG_KEYS = frozenset(
     (
@@ -174,9 +188,7 @@ def parse_config(
         raise ValueError(f"budget k={k} exceeds n={n}")
 
     fairness, fairness_base = _parse_fairness(raw.get("fairness"), n)
-    oracle = raw.get("oracle")
-    if not isinstance(oracle, dict) or "kind" not in oracle:
-        raise ValueError('config needs an "oracle" object with a "kind"')
+    oracle = _parse_oracle(raw.get("oracle"))
 
     policy = raw.get("policy")
     if policy not in POLICIES:
@@ -188,7 +200,9 @@ def parse_config(
     master_seed = seed if seed is not None else raw.get("master_seed", 0)
     master_seed = _int_value(master_seed, "master_seed", 0)
 
-    step_count = raw.get("step_count", defaults["step_count"])
+    step_count = raw.get("step_count")
+    if step_count is None:
+        step_count = defaults["step_count"]
     if step_count is not None:
         step_count = _int_value(step_count, "step_count", 1)
 
@@ -196,12 +210,12 @@ def parse_config(
 
     sample_counts = raw.get("sample_counts")
     if sample_counts is not None:
-        sample_counts = tuple(float(v) for v in sample_counts)
+        sample_counts = _float_list(sample_counts, "sample_counts")
         if len(sample_counts) != n:
             raise ValueError(f"sample_counts must list {n} values")
 
     sweep = raw.get("sweep_betas")
-    sweep_betas = tuple(float(b) for b in sweep) if sweep is not None else DEMO_BETAS
+    sweep_betas = _float_list(sweep, "sweep_betas") if sweep is not None else DEMO_BETAS
 
     return RunConfig(
         n=n,
@@ -241,6 +255,21 @@ def _int_value(value: Any, key: str, minimum: int) -> int:
     return int(value)
 
 
+def _float_value(value: Any, key: str) -> float:
+    """A finite JSON number; rejects true and "0.3"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
+def _float_list(values: Any, key: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_float_value(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
 def _bool_value(value: Any, key: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, got {value!r}")
@@ -260,28 +289,55 @@ def _parse_estimator(raw: Any, default_samples: int | None) -> dict[str, Any]:
     mode = raw.get("mode", "auto")
     if mode not in ESTIMATOR_MODES:
         raise ValueError(f"estimator.mode must be one of {ESTIMATOR_MODES}, got {mode!r}")
-    samples = raw.get("samples", default_samples)
+    samples = raw.get("samples")
+    if samples is None:
+        samples = default_samples
     if samples is not None:
         samples = _int_value(samples, "estimator.samples", 1)
     return {"mode": mode, "samples": samples}
+
+
+def _parse_oracle(raw: Any) -> dict[str, Any]:
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise ValueError('config needs an "oracle" object with a "kind"')
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in ORACLE_PARAMS:
+        raise ValueError(f"oracle.kind must be one of {tuple(ORACLE_PARAMS)}, got {kind!r}")
+    needed, optional = ORACLE_PARAMS[kind]
+    for key in raw:
+        if key != "kind" and key not in needed + optional:
+            raise ValueError(
+                f"unknown config key oracle.{key}; the {kind} oracle takes "
+                + ", ".join(needed + optional)
+            )
+    for key in needed:
+        if key not in raw:
+            raise ValueError(f"the {kind} oracle needs oracle.{key}")
+    return raw
 
 
 def _parse_fairness(
     raw: Any, n: int
 ) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
     base: tuple[float, ...] | None = None
-    if isinstance(raw, dict) and "explicit" in raw:
-        values = [float(v) for v in raw["explicit"]]
-    elif isinstance(raw, dict) and "beta" in raw and "base" in raw:
-        beta = float(raw["beta"])
-        base = tuple(float(v) for v in raw["base"])
-        values = [beta * v for v in base]
+    if not isinstance(raw, dict):
+        raise ValueError(FAIRNESS_FORMS)
+    form = ("explicit",) if "explicit" in raw else ("beta", "base")
+    for key in raw:
+        if key not in form:
+            raise ValueError(
+                f"unknown config key fairness.{key}; fairness takes " + " and ".join(form)
+            )
+    if "explicit" in raw:
+        values = _float_list(raw["explicit"], "fairness.explicit")
+    elif "beta" in raw and "base" in raw:
+        beta = _float_value(raw["beta"], "fairness.beta")
+        base = _float_list(raw["base"], "fairness.base")
+        values = tuple(beta * v for v in base)
     else:
-        raise ValueError(
-            'config needs "fairness" as {"explicit": [...]} or {"beta": b, "base": [...]}'
-        )
+        raise ValueError(FAIRNESS_FORMS)
     if len(values) != n:
         raise ValueError(f"fairness must resolve to {n} floors")
     if min(values) < 0.0 or max(values) > 1.0:
         raise ValueError("fairness floors must lie in [0, 1]")
-    return tuple(values), base
+    return values, base

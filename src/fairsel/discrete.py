@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ContractError, FeasibilityError
+from .core import ContractError
 from .oracles import UtilityOracle, WorkerPool
 
 
@@ -111,10 +111,7 @@ def round_robin_policy(pool: WorkerPool, horizon: int) -> np.ndarray:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if not pool.is_feasible():
-        raise FeasibilityError(
-            f"floors sum to {pool.fairness.sum():.6f} > budget k={pool.k}"
-        )
+    pool.require_feasible()
     n, k, t_total = pool.n, pool.k, int(horizon)
     cum = np.cumsum(pool.fairness) * t_total
     # tiny negative guard so float noise on exact integers cannot push the

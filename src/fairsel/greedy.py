@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibilityError, FractionalPoint
+from .core import FractionalPoint
 from .multilinear import ExtensionEvaluator
 from .oracles import WorkerPool
-from .polytope import FairPolytope, maximize_linear
+from .polytope import maximize_linear
 
 # overshoot beyond 1 larger than this is a real bug, not float drift
 CLAMP_WARN = 1e-9
@@ -71,15 +71,11 @@ def faircg2_fractional(
 
 
 def _drive(pool, evaluator, step_count, variant):
-    polytope = FairPolytope.from_pool(pool)
-    if not polytope.is_feasible():
-        raise FeasibilityError(
-            f"floors sum to {polytope.fairness.sum():.6f} > budget k={polytope.k}"
-        )
+    pool.require_feasible()
     steps = int(step_count) if step_count is not None else pool.n**2
     if steps < 1:
         raise ValueError("step_count must be at least 1")
-    r = polytope.fairness
+    r = pool.fairness
     y = np.zeros(pool.n) if variant == "faircg1" else r.copy()
     dt = 1.0 / steps
 
@@ -93,7 +89,7 @@ def _drive(pool, evaluator, step_count, variant):
         w, value_before = evaluator.weights(
             FractionalPoint(y), stream=step, with_value=True
         )
-        x = maximize_linear(polytope, w).coords
+        x = maximize_linear(pool, w).coords
         rate = x if variant == "faircg1" else x - r
         y = y + dt * rate
         overshoot = float(y.max()) - 1.0
@@ -108,7 +104,13 @@ def _drive(pool, evaluator, step_count, variant):
                 warned = True
             np.minimum(y, 1.0, out=y)
         if variant == "faircg2":
-            membership_slack = max(membership_slack, polytope.membership_slack(y))
+            # largest floor or budget violation of the snapped point, 0 inside
+            coords = FractionalPoint(y).coords
+            membership_slack = max(
+                membership_slack,
+                float((r - coords).max()),
+                float(coords.sum() - pool.k),
+            )
         taus.append(step * dt)
         values.append(value_before)
         gains.append(float(x @ w))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SizeLimitError
+from .core import FeasibilityError, SizeLimitError
 
 # exhaustive structure checks enumerate all 2^n subsets
 CHECK_LIMIT = 12
@@ -24,6 +24,8 @@ CHECK_LIMIT = 12
 # per-row temporaries (one float per covered item, say) stay a few MB even
 # on a 2e4-round trace
 EVAL_BLOCK = 4096
+# float slack on a sum of floors against the budget
+SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,8 @@ class WorkerPool:
             raise ValueError(f"need at least one worker, got n={self.n}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"budget k={self.k} outside 1..{self.n}")
-        r = np.asarray(self.fairness, dtype=float)
+        # a copy: freezing it below leaves the caller's array writable
+        r = np.array(self.fairness, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"fairness vector has shape {r.shape}, expected ({self.n},)")
         if r.min() < 0.0 or r.max() > 1.0:
@@ -50,7 +53,7 @@ class WorkerPool:
         r.flags.writeable = False
         object.__setattr__(self, "fairness", r)
         if self.sample_counts is not None:
-            counts = np.asarray(self.sample_counts, dtype=float)
+            counts = np.array(self.sample_counts, dtype=float)
             if counts.shape != (self.n,):
                 raise ValueError(
                     f"sample_counts has shape {counts.shape}, expected ({self.n},)"
@@ -62,11 +65,14 @@ class WorkerPool:
 
     def is_feasible(self) -> bool:
         """True iff the fairness floors fit in the budget: sum(r) <= k."""
-        return float(self.fairness.sum()) <= self.k + 1e-12
+        return float(self.fairness.sum()) <= self.k + SUM_TOL
 
-    @property
-    def ids(self) -> range:
-        return range(self.n)
+    def require_feasible(self) -> None:
+        """Raise FeasibilityError unless the floors fit in the budget."""
+        if not self.is_feasible():
+            raise FeasibilityError(
+                f"floors sum to {self.fairness.sum():.6f} > budget k={self.k}"
+            )
 
 
 class UtilityOracle(ABC):

@@ -16,7 +16,6 @@ from fairsel import (
     AccuracyOracle,
     CoverageOracle,
     DebtLedger,
-    FairPolytope,
     FeasibilityError,
     ModularOracle,
     SelectionTrace,
@@ -25,7 +24,6 @@ from fairsel import (
     dep_round,
     derive_rng,
     fairdg_round,
-    is_feasible,
     maximize_linear,
     solve_uopt,
 )
@@ -207,7 +205,8 @@ def test_criterion_08_equivalence_suites(accept_runs, certificate_instances):
         w = rng.uniform(0.0, 2.0, n)
         if trial % 4 == 0:
             w = np.round(w, 1)
-        mine = float(w @ maximize_linear(FairPolytope(r, k=k), w).coords)
+        pool = WorkerPool(n=n, k=k, fairness=r)
+        mine = float(w @ maximize_linear(pool, w).coords)
         worst_a = max(worst_a, abs(mine - water_fill_brute(r, k, w)))
     pass_a = worst_a <= 1e-9
 
@@ -303,8 +302,8 @@ def test_criterion_09_feasibility_iff_schedulable():
         if gap <= 0.0:
             # feasible side: the schedule must exist and meet every floor
             # up to the 1/T rounding allowance
-            assert is_feasible(r, k)
             pool = WorkerPool(n=n, k=k, fairness=r)
+            assert pool.is_feasible()
             fractions = round_robin_policy(pool, horizon).mean(axis=0)
             shortfall = float((fractions - (r - 1.0 / horizon)).min())
             worst_gap = min(worst_gap, shortfall)
@@ -313,8 +312,8 @@ def test_criterion_09_feasibility_iff_schedulable():
         else:
             if gap * horizon <= n:
                 continue  # too close to the boundary for the counting argument
-            assert not is_feasible(r, k)
             pool = WorkerPool(n=n, k=k, fairness=r)
+            assert not pool.is_feasible()
             with pytest.raises(FeasibilityError):
                 round_robin_policy(pool, horizon)
             # no schedule of k-sets can reach every floor at this horizon:

@@ -45,6 +45,18 @@ def test_full_profile_and_explicit_values_win():
     assert cfg.step_count == 7
 
 
+def test_null_values_take_the_profile_defaults():
+    raw = demo_config()
+    raw.update(step_count=None, horizon=None)
+    raw["estimator"] = {"mode": "monte_carlo", "samples": None}
+    cfg = parse_config(raw)
+    assert (cfg.step_count, cfg.horizon, cfg.estimator["samples"]) == (25, 10_000, 10_000)
+    cfg = parse_config(raw, profile="full")
+    assert (cfg.step_count, cfg.horizon, cfg.estimator["samples"]) == (None, 100_000, None)
+    assert cfg.resolved_step_count() == 100
+    assert cfg.build_estimator().sample_count(cfg.n) == 100_000
+
+
 def test_seed_override_beats_the_file():
     cfg = parse_config(demo_config(master_seed=5), seed=99)
     assert cfg.master_seed == 99
@@ -88,6 +100,20 @@ def test_explicit_fairness_form():
         lambda raw: raw.update(estimator={"common_random_numbers": False}),
         lambda raw: raw.update(estimator={"exact_threshold": 10}),
         lambda raw: raw.update(estimator={"chunk_size": 512}),
+        lambda raw: raw.update(sweep_betas=[True, 0.3]),
+        lambda raw: raw.update(sweep_betas=["0.3"]),
+        lambda raw: raw.update(sweep_betas="0.3"),
+        lambda raw: raw.update(sample_counts=[200] * 9 + [True]),
+        lambda raw: raw.update(fairness={"explicit": [0.1] * 9 + [True]}),
+        lambda raw: raw.update(fairness={"explicit": [0.1] * 9 + [float("nan")]}),
+        lambda raw: raw.update(fairness={"explicit": [0.1] * 10, "beta": 2}),
+        lambda raw: raw["fairness"].update(beta="0.42"),
+        lambda raw: raw["fairness"].update(base=[1] * 9 + ["1"]),
+        lambda raw: raw["fairness"].update(scale=2),
+        lambda raw: raw.update(oracle={"kind": "accuracy", "scal": 0.5}),
+        lambda raw: raw.update(oracle={"kind": "coverage", "item_weights": [1.0]}),
+        lambda raw: raw.update(oracle={"kind": "modular"}),
+        lambda raw: raw.update(oracle={"kind": "bogus"}),
     ],
 )
 def test_validation_errors(mutate):
@@ -105,6 +131,16 @@ def test_validation_errors(mutate):
         ({"estimator": {"mode": "exact", "chunk_size": 512}}, "estimator.chunk_size"),
         ({"k": 6.7}, "k must be an integer"),
         ({"strict_debt": "false"}, "strict_debt must be true or false"),
+        ({"sweep_betas": [True, 0.3]}, "sweep_betas[0] must be a number"),
+        ({"sweep_betas": [0.3, "0.3"]}, "sweep_betas[1] must be a number"),
+        ({"sample_counts": [200] * 9 + [True]}, "sample_counts[9] must be a number"),
+        ({"fairness": {"explicit": [0.1] * 9 + [True]}}, "fairness.explicit[9]"),
+        ({"fairness": {"explicit": [0.1] * 10, "beta": 2}}, "fairness.beta"),
+        ({"fairness": {"beta": True, "base": [1] * 10}}, "fairness.beta must be a number"),
+        ({"fairness": {"beta": 0.4, "base": [1] * 9 + ["1"]}}, "fairness.base[9]"),
+        ({"oracle": {"kind": "accuracy", "scal": 0.5}}, "oracle.scal"),
+        ({"oracle": {"kind": "coverage", "item_weights": [1.0]}}, "oracle.covers"),
+        ({"oracle": {"kind": "modular"}}, "oracle.weights"),
     ],
 )
 def test_validation_errors_name_the_key(changes, key):
@@ -306,3 +342,25 @@ def test_run_config_is_frozen():
     with pytest.raises(AttributeError):
         cfg.horizon = 5
     assert isinstance(cfg, RunConfig)
+
+
+def test_run_and_opt_never_import_scipy(tmp_path):
+    # a fresh interpreter, because other tests import scipy into this one;
+    # scipy.optimize would add about 48 MB of peak memory to every run
+    raw = demo_config(policy="faircg1", horizon=50)
+    raw["step_count"] = 3
+    path = _write(tmp_path, raw)
+    run = ["run", "--config", path, "--out", str(tmp_path / "run")]
+    opt = ["opt", "--config", path, "--out", str(tmp_path / "opt")]
+    script = (
+        "import sys\n"
+        "from fairsel.cli import main\n"
+        f"assert main({run!r}) == 0 and main({opt!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "u_opt=" in proc.stdout and (tmp_path / "opt" / "support.csv").exists()
+    assert proc.stdout.splitlines()[-1] == "[]"

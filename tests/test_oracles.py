@@ -1,3 +1,4 @@
+import re
 import threading
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from fairsel import (
     AccuracyOracle,
     CoverageOracle,
+    FeasibilityError,
     ModularOracle,
     SizeLimitError,
     UtilityOracle,
@@ -205,11 +207,20 @@ def test_all_subset_masks_bit_order():
 def test_worker_pool_validation_and_feasibility():
     pool = WorkerPool(n=3, k=2, fairness=np.array([0.5, 0.5, 1.0]))
     assert pool.is_feasible()  # sum exactly k counts as feasible
-    assert not WorkerPool(n=3, k=2, fairness=np.array([0.9, 0.9, 0.9])).is_feasible()
+    pool.require_feasible()
+    over = WorkerPool(n=3, k=2, fairness=np.array([0.9, 0.9, 0.9]))
+    assert not over.is_feasible()
+    message = "floors sum to 2.700000 > budget k=2"
+    with pytest.raises(FeasibilityError, match=re.escape(message)):
+        over.require_feasible()
     with pytest.raises(ValueError):
         WorkerPool(n=2, k=3, fairness=np.zeros(2))
     with pytest.raises(ValueError):
+        WorkerPool(n=2, k=3, fairness=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
         WorkerPool(n=2, k=1, fairness=np.array([0.5, 1.2]))
+    with pytest.raises(ValueError):
+        WorkerPool(n=2, k=1, fairness=np.array([0.5, 1.3]))
     with pytest.raises(ValueError):
         WorkerPool(n=2, k=1, fairness=np.zeros(3))
     with pytest.raises(ValueError):
@@ -220,3 +231,7 @@ def test_worker_pool_arrays_are_frozen(demo):
     pool, _ = demo
     with pytest.raises(ValueError):
         pool.fairness[0] = 0.9
+    floors = np.array([0.1, 0.2])
+    pool = WorkerPool(n=2, k=1, fairness=floors)
+    floors[0] = 0.5  # the pool froze its own copy, not the caller's array
+    assert pool.fairness.tolist() == [0.1, 0.2]

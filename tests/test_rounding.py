@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fairsel import ContractError, FairPolytope, FractionalPoint, dep_round, derive_rng, maximize_linear
+from fairsel import (
+    ContractError,
+    FractionalPoint,
+    WorkerPool,
+    dep_round,
+    derive_rng,
+    maximize_linear,
+)
 from fairsel.multilinear import ExtensionEvaluator
 
 from conftest import make_random_floors, make_random_oracle
@@ -42,8 +49,8 @@ def test_output_size_always_matches_the_sum():
     for _ in range(100):
         n = int(rng.integers(2, 11))
         k = int(rng.integers(1, n + 1))
-        poly = FairPolytope(make_random_floors(rng, n, k), k=k)
-        y = maximize_linear(poly, rng.uniform(0.0, 2.0, n))
+        pool = WorkerPool(n=n, k=k, fairness=make_random_floors(rng, n, k))
+        y = maximize_linear(pool, rng.uniform(0.0, 2.0, n))
         sel = dep_round(y, rng)
         assert len(sel) == k
         assert sel == tuple(sorted(sel))
