@@ -44,7 +44,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -133,24 +133,11 @@ class RunConfig:
         return replace(self, **changes)
 
     def canonical_dict(self) -> dict[str, Any]:
-        """Every result-affecting field, JSON-plain, in a stable shape."""
-        return {
-            "n": self.n,
-            "k": self.k,
-            "fairness": list(self.fairness),
-            "sample_counts": list(self.sample_counts) if self.sample_counts else None,
-            "oracle": self.oracle,
-            "policy": self.policy,
-            "horizon": self.horizon,
-            "master_seed": self.master_seed,
-            "step_count": self.step_count,
-            "estimator": dict(self.estimator),
-            "strict_debt": self.strict_debt,
-            "emit_step_trace": self.emit_step_trace,
-            "sweep_betas": list(self.sweep_betas),
-            "subset_cap": self.subset_cap,
-            "fairness_base": list(self.fairness_base) if self.fairness_base else None,
-        }
+        """Every result-affecting field, JSON-plain, in a stable shape: all of
+        them but the profile, whose values the other fields already hold."""
+        fields = asdict(self)
+        del fields["profile"]
+        return fields
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -177,9 +164,9 @@ def parse_config(
     for key in raw:
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    profile_name = profile or raw.get("profile") or DEFAULT_PROFILE
-    if profile_name not in PROFILES:
-        raise ValueError(f"unknown profile {profile_name!r}; pick from {sorted(PROFILES)}")
+    profile_name = profile if profile is not None else raw.get("profile", DEFAULT_PROFILE)
+    if not isinstance(profile_name, str) or profile_name not in PROFILES:
+        raise ValueError(f"profile must be one of {sorted(PROFILES)}, got {profile_name!r}")
     defaults = PROFILES[profile_name]
 
     n = _require_int(raw, "n", minimum=1)
@@ -206,7 +193,7 @@ def parse_config(
     if step_count is not None:
         step_count = _int_value(step_count, "step_count", 1)
 
-    estimator = _parse_estimator(raw.get("estimator"), defaults["samples"])
+    estimator = _parse_estimator(raw.get("estimator", {}), defaults["samples"])
 
     sample_counts = raw.get("sample_counts")
     if sample_counts is not None:
@@ -277,9 +264,8 @@ def _bool_value(value: Any, key: str) -> bool:
 
 
 def _parse_estimator(raw: Any, default_samples: int | None) -> dict[str, Any]:
-    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
-        raise ValueError('"estimator" must be an object')
+        raise ValueError(f"estimator must be an object, got {raw!r}")
     for key in raw:
         if key not in ESTIMATOR_KEYS:
             raise ValueError(

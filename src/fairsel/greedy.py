@@ -49,7 +49,6 @@ class ContinuousGreedyResult:
     estimator_mode: str
     steps: tuple[GreedyStep, ...]
     clamp_excess: float  # largest pre-clamp overshoot beyond 1 seen
-    membership_slack: float  # worst polytope violation along the path (variant two)
 
 
 def faircg1_fractional(
@@ -83,7 +82,6 @@ def _drive(pool, evaluator, step_count, variant):
     values = []
     gains = []
     clamp_excess = 0.0
-    membership_slack = 0.0
     warned = False
     for step in range(steps):
         w, value_before = evaluator.weights(
@@ -103,14 +101,6 @@ def _drive(pool, evaluator, step_count, variant):
                 )
                 warned = True
             np.minimum(y, 1.0, out=y)
-        if variant == "faircg2":
-            # largest floor or budget violation of the snapped point, 0 inside
-            coords = FractionalPoint(y).coords
-            membership_slack = max(
-                membership_slack,
-                float((r - coords).max()),
-                float(coords.sum() - pool.k),
-            )
         taus.append(step * dt)
         values.append(value_before)
         gains.append(float(x @ w))
@@ -137,5 +127,4 @@ def _drive(pool, evaluator, step_count, variant):
         estimator_mode=evaluator.mode,
         steps=tuple(records),
         clamp_excess=clamp_excess,
-        membership_slack=membership_slack,
     )

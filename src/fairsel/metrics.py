@@ -61,13 +61,9 @@ class SelectionTrace:
         """(T, n) boolean matrix of who was selected when."""
         return self.selected
 
-    def cumulative_counts(self) -> np.ndarray:
-        """(T, n) matrix: N_u(t) after each round."""
-        return np.cumsum(self.selected, axis=0, dtype=np.int64)
-
     def count_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """cumulative_counts() TRACE_BLOCK rounds at a time, as pairs of the
-        round numbers t, a (rows, 1) column, and their (rows, n) counts N(t)."""
+        """The cumulative counts N_u(t), TRACE_BLOCK rounds at a time, as pairs
+        of the round numbers t, a (rows, 1) column, and their (rows, n) N(t)."""
         carry = np.zeros(self.n, dtype=np.int64)
         for start in range(0, self.horizon, TRACE_BLOCK):
             counts = np.cumsum(self.selected[start : start + TRACE_BLOCK], axis=0, dtype=np.int64)
@@ -143,20 +139,16 @@ def alpha_fairness_check(
     """Check every prefix: N_u(t)/t >= r_u - t**(-alpha) for all u."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    alpha = float(alpha)
     r = np.asarray(list(fairness) if not isinstance(fairness, np.ndarray) else fairness,
                    dtype=float)
-    t = np.arange(1, trace.horizon + 1, dtype=float)[:, None]
-    fractions = trace.cumulative_counts() / t
-    slack = r[None, :] - t ** (-alpha)
-    bad_rounds, bad_workers = np.nonzero(fractions < slack)
-    if bad_rounds.size == 0:
-        return AlphaFairnessResult(ok=True, alpha=float(alpha), first_violation=None)
-    first = np.lexsort((bad_workers, bad_rounds))[0]
-    return AlphaFairnessResult(
-        ok=False,
-        alpha=float(alpha),
-        first_violation=(int(bad_rounds[first]) + 1, int(bad_workers[first])),
-    )
+    for t, counts in trace.count_blocks():
+        # nonzero is row-major: its first hit is the earliest round, then worker
+        bad_rounds, bad_workers = np.nonzero(counts / t < r[None, :] - t ** (-alpha))
+        if bad_rounds.size:
+            first = (int(t[bad_rounds[0], 0]), int(bad_workers[0]))
+            return AlphaFairnessResult(ok=False, alpha=alpha, first_violation=first)
+    return AlphaFairnessResult(ok=True, alpha=alpha, first_violation=None)
 
 
 @dataclass(frozen=True)

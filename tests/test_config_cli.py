@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,16 @@ from fairsel.core import format_float
 from fairsel.metrics import TRACE_BLOCK
 from fairsel.runner import execute_run, write_run_outputs
 from fairsel.presets import DEMO_MASTER_SEED, demo_config
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _child_env():
+    """The environment for a child interpreter, with this checkout's src importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -114,6 +126,12 @@ def test_explicit_fairness_form():
         lambda raw: raw.update(oracle={"kind": "coverage", "item_weights": [1.0]}),
         lambda raw: raw.update(oracle={"kind": "modular"}),
         lambda raw: raw.update(oracle={"kind": "bogus"}),
+        lambda raw: raw.update(profile=None),
+        lambda raw: raw.update(profile=""),
+        lambda raw: raw.update(profile=False),
+        lambda raw: raw.update(profile=0),
+        lambda raw: raw.update(profile=["fast"]),
+        lambda raw: raw.update(estimator=None),
     ],
 )
 def test_validation_errors(mutate):
@@ -141,6 +159,8 @@ def test_validation_errors(mutate):
         ({"oracle": {"kind": "accuracy", "scal": 0.5}}, "oracle.scal"),
         ({"oracle": {"kind": "coverage", "item_weights": [1.0]}}, "oracle.covers"),
         ({"oracle": {"kind": "modular"}}, "oracle.weights"),
+        ({"profile": None}, "profile must be one of"),
+        ({"estimator": None}, "estimator must be an object"),
     ],
 )
 def test_validation_errors_name_the_key(changes, key):
@@ -217,7 +237,7 @@ def test_long_run_outputs_match_the_full_count_matrix(tmp_path):
     horizon = 2 * TRACE_BLOCK + 300
     result = execute_run(parse_config(demo_config(policy="roundrobin", horizon=horizon)))
     write_run_outputs(result, tmp_path)
-    counts = result.trace.cumulative_counts()
+    counts = np.cumsum(result.trace.selected, axis=0)
     t = np.arange(1, horizon + 1)[:, None]
     debts = (result.pool.fairness[None, :] * t - counts).max(axis=1)
     rounds = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
@@ -287,6 +307,18 @@ def test_cli_sweep_above_the_lp_cap_leaves_u_opt_blank(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_sweep_without_betas_writes_the_header(tmp_path, capsys):
+    raw = demo_config(policy="faircg1", horizon=100)
+    raw["sweep_betas"] = []
+    path = _write(tmp_path, raw)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_text() == (
+        "beta,policy,status,u_opt,mean_utility,empirical_ratio,bound_ratio\n"
+    )
+    capsys.readouterr()
+
+
 def test_sweep_requires_a_base_profile(tmp_path):
     raw = demo_config(horizon=100)
     raw["fairness"] = {"explicit": [0.1] * 10}
@@ -332,6 +364,7 @@ def test_module_entry_point_smoke(tmp_path):
         capture_output=True,
         text=True,
         timeout=300,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "rounds.csv").exists()
@@ -359,7 +392,11 @@ def test_run_and_opt_never_import_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "u_opt=" in proc.stdout and (tmp_path / "opt" / "support.csv").exists()

@@ -40,7 +40,8 @@ def test_trace_views(tiny_trace):
     assert tiny_trace.n == 3
     assert tiny_trace.selection_matrix().sum() == 8
     assert tiny_trace.selections.tolist() == [[0, 1], [0, 2], [0, 1], [0, 2]]
-    assert tiny_trace.cumulative_counts()[-1].tolist() == [4, 2, 2]
+    (_, counts), = tiny_trace.count_blocks()
+    assert counts[-1].tolist() == [4, 2, 2]
     assert tiny_trace.fractions() == pytest.approx([1.0, 0.5, 0.5])
     assert tiny_trace.running_average() == pytest.approx([1.0, 1.5, 2.0, 2.0])
     assert tiny_trace.mean_utility() == pytest.approx(2.0)
@@ -62,7 +63,7 @@ def test_count_blocks_and_max_debt_match_the_full_matrices():
     assert [counts.shape[0] for _, counts in blocks] == [TRACE_BLOCK, TRACE_BLOCK, 7]
     t = np.concatenate([t for t, _ in blocks])
     np.testing.assert_array_equal(t[:, 0], np.arange(1, horizon + 1))
-    full = trace.cumulative_counts()
+    full = np.cumsum(trace.selected, axis=0)
     np.testing.assert_array_equal(np.concatenate([counts for _, counts in blocks]), full)
     r = rng.uniform(0.1, 0.6, n)
     np.testing.assert_array_equal(trace.max_debt(r), (r[None, :] * t - full).max(axis=0))
@@ -105,6 +106,36 @@ def test_alpha_fairness_first_violation():
     assert alpha_fairness_check(trace, [0.0, 0.0], alpha=1.0).ok
     with pytest.raises(ValueError):
         alpha_fairness_check(trace, [0.0, 0.6], alpha=0.0)
+
+
+def _first_violation_reference(selected, r, alpha):
+    """The earliest (round, worker) below r_u - t**-alpha, from the full count matrix."""
+    t = np.arange(1, selected.shape[0] + 1, dtype=float)[:, None]
+    bad = np.cumsum(selected, axis=0) / t < r[None, :] - t ** (-alpha)
+    rounds, workers = np.nonzero(bad)
+    return (int(rounds[0]) + 1, int(workers[0])) if rounds.size else None
+
+
+def test_alpha_fairness_check_joins_its_count_blocks():
+    # worker 1 takes every other round until round 6000 and then none, so its
+    # fraction first falls below 0.45 - t**-0.5 in the trace's second block
+    horizon = 2 * TRACE_BLOCK + 13
+    selected = np.zeros((horizon, 3), dtype=bool)
+    selected[:, 0] = True
+    selected[:6000:2, 1] = True
+    r = np.array([0.9, 0.45, 0.0])
+    res = alpha_fairness_check(SelectionTrace(selected, np.zeros(horizon)), r, alpha=0.5)
+    assert res.first_violation == _first_violation_reference(selected, r, 0.5)
+    assert res.first_violation[0] > TRACE_BLOCK + 1
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        rounds = int(rng.integers(1, horizon))
+        drift = np.linspace(0.7, rng.uniform(0.2, 0.7), rounds)[:, None]
+        selected = rng.random((rounds, 4)) < drift
+        r, alpha = rng.uniform(0.3, 0.7, 4), float(rng.uniform(0.2, 1.0))
+        res = alpha_fairness_check(SelectionTrace(selected, np.zeros(rounds)), r, alpha)
+        assert res.first_violation == _first_violation_reference(selected, r, alpha)
+        assert res.ok == (res.first_violation is None)
 
 
 def test_concession_rate(demo):
