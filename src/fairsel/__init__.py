@@ -12,6 +12,7 @@ from .core import (
     FeasibilityError,
     FractionalPoint,
     SizeLimitError,
+    derive_draws,
     derive_rng,
 )
 from .discrete import DebtLedger, dg_round, fairdg_round, round_robin_policy
@@ -35,7 +36,7 @@ from .oracles import (
     marginal_gain,
 )
 from .polytope import maximize_linear
-from .rounding import dep_round
+from .rounding import dep_round, dep_round_many
 
 __version__ = "0.1.0"
 
@@ -61,6 +62,8 @@ __all__ = [
     "brute_force_uopt",
     "check_submodular_monotone",
     "dep_round",
+    "dep_round_many",
+    "derive_draws",
     "derive_rng",
     "dg_round",
     "faircg1_fractional",

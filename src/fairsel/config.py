@@ -23,7 +23,9 @@ is an error elsewhere):
   emit_step_trace      true/false, write the per-step greedy trace CSV
   sweep_betas          list of betas for the sweep command
   subset_cap           variable cap for the stationary LP (default 1e5)
-  profile              fast | full (a profile passed by the caller wins)
+  profile              fast | full (a profile passed by the caller wins, but
+                       the file's value must still be valid; so must its
+                       master_seed when the caller passes a seed)
 
 Integer keys (n, k, horizon, master_seed, step_count, subset_cap and
 estimator.samples) take integral numbers only: 6.7 and true are errors, not
@@ -164,9 +166,11 @@ def parse_config(
     for key in raw:
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    profile_name = profile if profile is not None else raw.get("profile", DEFAULT_PROFILE)
-    if not isinstance(profile_name, str) or profile_name not in PROFILES:
-        raise ValueError(f"profile must be one of {sorted(PROFILES)}, got {profile_name!r}")
+    # the file's own profile and master_seed are checked even when the caller
+    # overrides them, so a typo there never passes silently
+    profile_name = _profile_value(raw.get("profile", DEFAULT_PROFILE))
+    if profile is not None:
+        profile_name = _profile_value(profile)
     defaults = PROFILES[profile_name]
 
     n = _require_int(raw, "n", minimum=1)
@@ -184,8 +188,9 @@ def parse_config(
     horizon = raw.get("horizon")
     horizon = _int_value(defaults["horizon"] if horizon is None else horizon, "horizon", 1)
 
-    master_seed = seed if seed is not None else raw.get("master_seed", 0)
-    master_seed = _int_value(master_seed, "master_seed", 0)
+    master_seed = _int_value(raw.get("master_seed", 0), "master_seed", 0)
+    if seed is not None:
+        master_seed = _int_value(seed, "master_seed", 0)
 
     step_count = raw.get("step_count")
     if step_count is None:
@@ -222,6 +227,12 @@ def parse_config(
         profile=profile_name,
         fairness_base=fairness_base,
     )
+
+
+def _profile_value(name: Any) -> str:
+    if not isinstance(name, str) or name not in PROFILES:
+        raise ValueError(f"profile must be one of {sorted(PROFILES)}, got {name!r}")
+    return name
 
 
 def _require_int(raw: dict, key: str, minimum: int) -> int:

@@ -13,7 +13,7 @@ an additive 1/T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -24,10 +24,18 @@ from .oracles import UtilityOracle, WorkerPool
 
 @dataclass
 class DebtLedger:
-    """Selection counts so far and the index of the next round (1-based)."""
+    """Selection counts so far and the index of the next round (1-based).
+
+    A ledger also remembers fairdg's greedy fill per owed set: the fill
+    depends only on the owed set, the pool and the oracle, and a run revisits
+    a handful of owed sets. The memo belongs to one (pool, oracle) pair and
+    starts over when a call brings another.
+    """
 
     counts: np.ndarray
     next_round: int = 1
+    fills: dict[bytes, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
+    fills_for: tuple = field(default=(), repr=False, compare=False)
 
     @classmethod
     def fresh(cls, n: int) -> "DebtLedger":
@@ -38,9 +46,22 @@ class DebtLedger:
         return fairness * self.next_round - self.counts
 
     def record(self, selected: Iterable[int]) -> None:
-        idx = list(selected)
-        self.counts[idx] += 1
+        # a loop of scalar increments beats fancy indexing for k-sized sets
+        for u in selected:
+            self.counts[u] += 1
         self.next_round += 1
+
+    def greedy_fill(
+        self, pool: WorkerPool, oracle: UtilityOracle, owed: np.ndarray
+    ) -> tuple[int, ...]:
+        """``_greedy_fill`` from the owed workers (a boolean mask), memoised."""
+        owner = self.fills_for
+        if not (owner and owner[0] is pool and owner[1] is oracle):
+            self.fills, self.fills_for = {}, (pool, oracle)
+        key = owed.tobytes()
+        if key not in self.fills:
+            self.fills[key] = _greedy_fill(pool, oracle, set(np.flatnonzero(owed).tolist()))
+        return self.fills[key]
 
 
 def fairdg_round(
@@ -54,7 +75,8 @@ def fairdg_round(
     Workers whose debt is >= 0 (or > 0 with ``strict_debt``) are owed a spot.
     If fewer than k are owed, the remainder is filled greedily by marginal
     utility gain (ties to the smaller id); if more, the k largest debts win
-    (ties to the smaller id). Costs at most k*n oracle queries.
+    (ties to the smaller id). Costs at most k*n oracle queries, and none
+    when the ledger has filled the same owed set before.
 
     The verbatim >= 0 rule means a floor of zero still grants round-one
     credit (debt 0 counts as owed); ``strict_debt`` switches to > 0, under
@@ -64,13 +86,12 @@ def fairdg_round(
     r = pool.fairness
     debts = ledger.debts(r)
     owed = debts > 0.0 if strict_debt else debts >= 0.0
-    owed_ids = np.nonzero(owed)[0]
     k = pool.k
-    if owed_ids.size >= k:
+    if np.count_nonzero(owed) >= k:
         order = np.lexsort((np.arange(pool.n), -debts))
         selected = tuple(sorted(int(u) for u in order[:k]))
     else:
-        selected = _greedy_fill(pool, oracle, set(int(u) for u in owed_ids))
+        selected = ledger.greedy_fill(pool, oracle, owed)
     ledger.record(selected)
     return selected
 

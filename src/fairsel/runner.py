@@ -3,8 +3,9 @@
 Stationary policies are run on their fast path: the continuous-greedy
 variants compute the fractional point once and round it independently every
 round (round t uses the stream derived from (master_seed, ROUND_STREAM, t)),
-and the plain greedy baseline computes its set once and replays it. The
-debt scheduler is genuinely sequential and is looped round by round.
+TRACE_BLOCK rounds at a time, and the plain greedy baseline computes its set
+once and replays it. The debt scheduler is genuinely sequential and is
+looped round by round.
 
 All CSV output is byte-deterministic for a given (config, master_seed):
 floats are written in shortest-exact form and every row order is fixed.
@@ -25,12 +26,16 @@ from typing import Iterable
 import numpy as np
 
 from .config import RunConfig
-from .core import FractionalPoint, derive_rng, format_float
+# derive_rng and dep_round stay bound here although execute_run rounds through
+# derive_draws and dep_round_many: perfbench/tracer.py wraps them, with
+# fairdg_round, as attributes of this module and needs them to exist
+from .core import FractionalPoint, derive_draws, derive_rng, format_float  # noqa: F401
 from .discrete import DebtLedger, dg_round, fairdg_round, round_robin_policy
-from .rounding import dep_round
+from .rounding import dep_round, dep_round_many  # noqa: F401
 from .greedy import ContinuousGreedyResult, GreedyStep, faircg1_fractional, faircg2_fractional
 from .lp import LpSolution, solve_uopt
 from .metrics import (
+    TRACE_BLOCK,
     BoundCertificates,
     FairnessReport,
     SelectionTrace,
@@ -81,9 +86,13 @@ def execute_run(config: RunConfig) -> RunResult:
         evaluator = ExtensionEvaluator(oracle, config.build_estimator())
         driver = faircg1_fractional if config.policy == "faircg1" else faircg2_fractional
         greedy_result = driver(pool, evaluator, step_count=config.resolved_step_count())
-        for t in range(config.horizon):
-            rng = derive_rng(config.master_seed, ROUND_STREAM, t)
-            selected[t, dep_round(greedy_result.y1, rng)] = True
+        # the same draws and sets as dep_round(y1, derive_rng(seed, ROUND_STREAM, t))
+        # round by round, with a block's draws held only while it is rounded
+        for start in range(0, config.horizon, TRACE_BLOCK):
+            stop = min(start + TRACE_BLOCK, config.horizon)
+            rounds = np.arange(start, stop)
+            draws = derive_draws(config.master_seed, (ROUND_STREAM,), rounds, pool.n)
+            selected[start:stop] = dep_round_many(greedy_result.y1, draws)
     elif config.policy == "fairdg":
         ledger = DebtLedger.fresh(pool.n)
         for t in range(config.horizon):

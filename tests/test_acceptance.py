@@ -21,7 +21,7 @@ from fairsel import (
     SelectionTrace,
     WorkerPool,
     brute_force_uopt,
-    dep_round,
+    dep_round_many,
     derive_rng,
     fairdg_round,
     maximize_linear,
@@ -173,15 +173,16 @@ def test_criterion_07_rounding_degree_and_marginals(accept_runs):
     y = accept_runs["faircg1"].greedy.y1
     k = 6
     calls = 1_000_000
+    block = 100_000
     rng = derive_rng(20_240_817, 0)
     counts = np.zeros(10)
     size_violations = 0
-    for _ in range(calls):
-        selected = dep_round(y, rng)
-        if len(selected) != k:
-            size_violations += 1
-        for u in selected:
-            counts[u] += 1
+    # rng.random((rows, n)) is the stream of rows successive rng.random(n)
+    # calls, so each block is what that many dep_round(y, rng) calls would draw
+    for _ in range(calls // block):
+        selected = dep_round_many(y, rng.random((block, y.n)))
+        size_violations += int((selected.sum(axis=1) != k).sum())
+        counts += selected.sum(axis=0)
     # two-sided Hoeffding tolerance at failure probability 1e-4 per element
     tol = math.sqrt(math.log(2.0 / 1e-4) / (2.0 * calls))
     deviation = float(np.abs(counts / calls - y.coords).max())

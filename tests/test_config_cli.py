@@ -132,13 +132,19 @@ def test_explicit_fairness_form():
         lambda raw: raw.update(profile=0),
         lambda raw: raw.update(profile=["fast"]),
         lambda raw: raw.update(estimator=None),
+        # a caller's profile or seed wins over the file's, but a bad file
+        # value is still an error; these mutations return the caller's flags
+        lambda raw: raw.update(profile="turbo") or {"profile": "full"},
+        lambda raw: raw.update(master_seed=-5) or {"seed": 3},
+        lambda raw: raw.update(master_seed="abc") or {"seed": 3},
     ],
 )
 def test_validation_errors(mutate):
     raw = demo_config()
-    mutate(raw)
+    flags = mutate(raw)
+    flags = flags if isinstance(flags, dict) else {}
     with pytest.raises(ValueError):
-        parse_config(raw)
+        parse_config(raw, **flags)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,10 @@ from fairsel import (
     marginal_gain,
     round_robin_policy,
 )
+from fairsel.config import parse_config
+from fairsel.discrete import _greedy_fill
+from fairsel.presets import demo_config
+from fairsel.runner import execute_run
 
 from conftest import make_random_floors, make_random_oracle
 
@@ -67,6 +71,40 @@ def test_round_query_budget(demo):
         oracle.reset_query_count()
         fairdg_round(pool, oracle, ledger)
         assert oracle.query_count <= budget
+
+
+def _fairdg_reference(pool, oracle, horizon, strict_debt=False):
+    """fairdg with _greedy_fill called afresh every round (no fill memo)."""
+    counts = np.zeros(pool.n, dtype=np.int64)
+    selected = np.zeros((horizon, pool.n), dtype=bool)
+    for t in range(horizon):
+        debts = pool.fairness * (t + 1) - counts
+        owed = np.flatnonzero(debts > 0.0 if strict_debt else debts >= 0.0)
+        if owed.size >= pool.k:
+            ids = np.lexsort((np.arange(pool.n), -debts))[: pool.k]
+        else:
+            ids = list(_greedy_fill(pool, oracle, set(owed.tolist())))
+        selected[t, ids] = True
+        counts[ids] += 1
+    return selected
+
+
+@pytest.mark.parametrize("strict_debt", [False, True])
+def test_fairdg_run_matches_fresh_greedy_fills(strict_debt):
+    raw = demo_config(policy="fairdg", horizon=2000)
+    raw["strict_debt"] = strict_debt
+    cfg = parse_config(raw)
+    result = execute_run(cfg)
+    expected = _fairdg_reference(cfg.build_pool(), cfg.build_oracle(), cfg.horizon, strict_debt)
+    assert np.array_equal(result.trace.selected, expected)
+
+
+def test_fill_memo_starts_over_for_another_oracle():
+    pool = WorkerPool(n=4, k=2, fairness=np.zeros(4))
+    ledger = DebtLedger.fresh(4)
+    owed = np.zeros(4, dtype=bool)
+    assert ledger.greedy_fill(pool, ModularOracle([1.0, 2.0, 3.0, 4.0]), owed) == (2, 3)
+    assert ledger.greedy_fill(pool, ModularOracle([4.0, 3.0, 2.0, 1.0]), owed) == (0, 1)
 
 
 def test_greedy_baseline_on_the_demo(demo):

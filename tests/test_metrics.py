@@ -10,8 +10,8 @@ from fairsel import (
     WorkerPool,
     alpha_fairness_check,
     bound_certificates,
-    dep_round,
-    derive_rng,
+    dep_round_many,
+    derive_draws,
     fairness_report,
     hoeffding_tail_check,
 )
@@ -20,11 +20,9 @@ from fairsel.multilinear import ExtensionEstimator, ExtensionEvaluator
 
 
 def _rounded_matrix(y, seed, member, horizon):
-    """(T, n) selection matrix of T independent roundings of y."""
-    selected = np.zeros((horizon, len(y)), dtype=bool)
-    for t in range(horizon):
-        selected[t, dep_round(y, derive_rng(seed, member, t))] = True
-    return selected
+    """(T, n) selection matrix of T independent roundings of y: round t is
+    dep_round(y, derive_rng(seed, member, t))."""
+    return dep_round_many(y, derive_draws(seed, (member,), range(horizon), len(y)))
 
 
 @pytest.fixture()

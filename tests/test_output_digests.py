@@ -52,7 +52,7 @@ PINNED_ORACLE_QUERIES = {
     "run-faircg2": 4234,
     "run-faircg1-mc": 141406,
     "run-faircg2-mc": 103490,
-    "run-fairdg": 80319,
+    "run-fairdg": 3158,
     "run-dg": 3045,
     "run-roundrobin": 3000,
 }

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairsel import (
     ContractError,
     FractionalPoint,
     WorkerPool,
     dep_round,
+    dep_round_many,
+    derive_draws,
     derive_rng,
     maximize_linear,
 )
+from fairsel.config import parse_config
+from fairsel.metrics import TRACE_BLOCK
 from fairsel.multilinear import ExtensionEvaluator
+from fairsel.presets import demo_config
+from fairsel.runner import ROUND_STREAM, execute_run
 
 from conftest import make_random_floors, make_random_oracle
 
@@ -110,3 +117,104 @@ def test_contract_errors():
         dep_round((0.5, 0.2), rng)  # sum 0.7 not integral
     with pytest.raises(ContractError):
         dep_round((0.5, 1.2), rng)  # outside the unit box
+
+
+# ---------------------------------------------------------------------------
+# the batched kernels against their scalar references
+
+SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**80),
+)
+ROUND_INDICES = st.one_of(st.integers(0, 5000), st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    seed=SEEDS,
+    path=st.lists(st.integers(0, 2**40), max_size=3),
+    rounds=st.lists(ROUND_INDICES, min_size=1, max_size=6),
+    n=st.integers(1, 20),
+)
+def test_derive_draws_equal_the_per_round_generators(seed, path, rounds, n):
+    draws = derive_draws(seed, path, rounds, n)
+    assert draws.shape == (len(rounds), n)
+    for row, t in zip(draws, rounds):
+        assert np.array_equal(row, derive_rng(seed, *path, t).random(n))
+
+
+def test_derive_draws_edge_seeds_and_rounds():
+    rounds = [0, 1, 4095, 4096, 2**31, 2**32 - 1]
+    for seed in (0, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1, 2**64, 2**70 + 9):
+        draws = derive_draws(seed, (ROUND_STREAM,), rounds, 16)
+        for row, t in zip(draws, rounds):
+            assert np.array_equal(row, derive_rng(seed, ROUND_STREAM, t).random(16))
+    assert derive_draws(3, (11,), [], 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("bad", [2**32, 2**40, -1])
+def test_derive_draws_rejects_round_indices_outside_32_bits(bad):
+    with pytest.raises(ContractError):
+        derive_draws(0, (ROUND_STREAM,), [0, bad], 3)
+
+
+def _scripted_rounds(y, draws):
+    """dep_round once per row of draws, as a boolean matrix."""
+    out = np.zeros(draws.shape, dtype=bool)
+    for row, d in zip(out, draws):
+        row[list(dep_round(y, _ScriptedRng(d)))] = True
+    return out
+
+
+def _paired_point(rng, pairs, integral):
+    """Coordinates p, 1 - p for each pair plus exact 0s and 1s, shuffled: the
+    sum is integral up to float rounding, as dep_round requires."""
+    p = rng.uniform(0.0, 1.0, pairs)
+    coords = np.concatenate([p, 1.0 - p, rng.integers(0, 2, integral).astype(float)])
+    return coords[rng.permutation(coords.size)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(("polytope", "paired", "integral")),
+    rows=st.integers(1, 40),
+)
+def test_dep_round_many_equals_dep_round_row_for_row(seed, form, rows):
+    rng = np.random.default_rng(seed)
+    if form == "polytope":
+        n = int(rng.integers(1, 16))
+        k = int(rng.integers(1, n + 1))
+        pool = WorkerPool(n=n, k=k, fairness=make_random_floors(rng, n, k))
+        y = maximize_linear(pool, rng.uniform(0.0, 2.0, n))
+    elif form == "paired":
+        y = _paired_point(rng, int(rng.integers(1, 7)), int(rng.integers(0, 6)))
+    else:
+        y = rng.integers(0, 2, int(rng.integers(1, 12))).astype(float)
+    draws = rng.random((rows, len(y)))
+    assert np.array_equal(dep_round_many(y, draws), _scripted_rounds(y, draws))
+
+
+@pytest.mark.parametrize("y", [(0.5, 0.2), (0.5, 1.2), (0.3, 0.7, -0.4, 0.4)])
+def test_dep_round_many_raises_the_scalar_contract_errors(y):
+    draws = np.full((3, len(y)), 0.5)
+    with pytest.raises(ContractError) as scalar:
+        dep_round(y, _ScriptedRng(draws[0]))
+    with pytest.raises(ContractError) as batched:
+        dep_round_many(y, draws)
+    assert str(batched.value) == str(scalar.value)
+    with pytest.raises(ContractError):
+        dep_round_many((0.5, 0.5), np.full((3, 3), 0.5))  # draws of the wrong width
+
+
+def test_faircg_rounds_across_a_block_boundary_like_the_scalar_loop():
+    # the pinned digest runs stay inside one TRACE_BLOCK; this one crosses it
+    horizon = TRACE_BLOCK + 13
+    cfg = parse_config(demo_config(policy="faircg1", horizon=horizon, master_seed=5))
+    result = execute_run(cfg)
+    y = result.greedy.y1
+    expected = np.zeros((horizon, cfg.n), dtype=bool)
+    for t in range(horizon):
+        expected[t, list(dep_round(y, derive_rng(5, ROUND_STREAM, t)))] = True
+    assert np.array_equal(result.trace.selected, expected)
