@@ -17,7 +17,7 @@ from .core import (
 )
 from .discrete import DebtLedger, dg_round, fairdg_round, round_robin_policy
 from .greedy import ContinuousGreedyResult, faircg1_fractional, faircg2_fractional
-from .lp import LpSolution, SimplexTableau, brute_force_uopt, solve_uopt
+from .lp import LpSolution, SimplexTableau, solve_uopt
 from .metrics import (
     SelectionTrace,
     alpha_fairness_check,
@@ -59,7 +59,6 @@ __all__ = [
     "WorkerPool",
     "alpha_fairness_check",
     "bound_certificates",
-    "brute_force_uopt",
     "check_submodular_monotone",
     "dep_round",
     "dep_round_many",

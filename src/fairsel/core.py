@@ -27,6 +27,15 @@ class ContractError(ValueError):
     """A caller handed a routine input that violates its stated contract."""
 
 
+def as_vector(values: Iterable[float], n: int, name: str) -> np.ndarray:
+    """``values`` as a float vector of length n; a ValueError naming ``name``
+    if it has any other shape (no broadcasting of a short vector)."""
+    v = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} vector has shape {v.shape}, expected ({n},)")
+    return v
+
+
 class FractionalPoint:
     """A vector in the unit box [0, 1]^n.
 

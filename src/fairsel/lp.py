@@ -8,9 +8,11 @@ Restricting to sets of size exactly k loses nothing for a monotone utility
 (padding a smaller support set never hurts), and keeps the variable count at
 C(n, k).
 
-Solved with a dense two-phase simplex under Bland's rule (no cycling). An
-independent brute-force path (`brute_force_uopt`, scipy's HiGHS) validates it
-on small instances.
+Solved with a dense two-phase simplex under Bland's rule (no cycling), in
+numpy alone: the subsets are held once, as a (C(n, k), n) bool matrix, and
+the simplex tableau is the only copy of the constraint matrix. The duals are
+read off the final tableau. The test suite checks the solver against scipy's
+HiGHS; the library never imports scipy.
 """
 from __future__ import annotations
 
@@ -29,50 +31,62 @@ _PIVOT_TOL = 1e-9
 _PHASE1_TOL = 1e-8
 # tableau rows per block of a pivot's update
 _PIVOT_ROWS = 4
+# subsets with probability above this make up a solution's support
+SUPPORT_TOL = 1e-10
 
 
 class SimplexTableau:
     """Dense two-phase simplex for min c.z subject to A z = b, z >= 0.
 
-    Bland's rule picks both the entering column (smallest eligible index) and
-    the leaving row (smallest basis index among minimum ratios), which rules
-    out cycling; a pivot counter hard-caps runtime regardless. After
-    ``solve()`` returns "optimal", ``solution``, ``objective`` and ``duals``
-    describe the optimum. Rows found redundant in phase one are dropped and
-    get a zero dual.
+    The constructor builds the phase-one tableau, which is the only copy of
+    A and b kept; rows with b < 0 enter it negated. Bland's rule picks both
+    the entering column (smallest eligible index) and the leaving row
+    (smallest basis index among minimum ratios), which rules out cycling;
+    ``PIVOT_CAP`` hard-caps runtime regardless. After ``solve()`` returns
+    "optimal", ``solution``, ``objective`` and ``duals`` describe the optimum.
+
+    The duals are read from the final tableau: minus the objective row at
+    each row's artificial column, times the sign the row entered with, so
+    they belong to A z = b as given. Rows found redundant in phase one are
+    dropped from the tableau, but their artificial columns stay; a dropped
+    row's dual is read the same way, which makes it the multiple of that row
+    the eliminations carried into the kept rows (zero if it never served as
+    a pivot row). Over every row, dropped ones included, duals.b equals the
+    objective and c - duals.A >= 0 up to rounding.
     """
 
     def __init__(self, a, b, c):
-        a = np.array(a, dtype=float)
+        a = np.asarray(a, dtype=float)
         b = np.array(b, dtype=float)
         c = np.array(c, dtype=float)
         if a.ndim != 2 or b.shape != (a.shape[0],) or c.shape != (a.shape[1],):
             raise ValueError("inconsistent LP dimensions")
-        flip = b < 0.0
-        a[flip] *= -1.0
-        b[flip] *= -1.0
-        self.a = a
-        self.b = b
+        m, nc = a.shape
+        self._sign = np.where(b < 0.0, -1.0, 1.0)
+        b *= self._sign
+
+        # phase one: minimize the sum of one artificial variable per row
+        t = np.zeros((m + 1, nc + m + 1))
+        np.multiply(a, self._sign[:, None], out=t[:m, :nc])
+        t[:m, nc : nc + m] = np.eye(m)
+        t[:m, -1] = b
+        t[m, :nc] = -t[:m, :nc].sum(axis=0)
+        t[m, -1] = -b.sum()
+        self._t = t
         self.c = c
-        self.m, self.ncols = a.shape
-        self.basis: list[int] = []
+        self.m, self.ncols = m, nc
         self.pivots = 0
         self.status = "unsolved"
         self.solution: np.ndarray | None = None
         self.objective: float | None = None
         self.duals: np.ndarray | None = None
 
-    def solve(self, pivot_cap: int = PIVOT_CAP) -> str:
+    def solve(self) -> str:
+        """Run both phases on the tableau; a second call returns the status."""
+        t, self._t = self._t, None
+        if t is None:
+            return self.status
         m, nc = self.m, self.ncols
-        self._cap = int(pivot_cap)
-
-        # phase one: minimize the sum of one artificial variable per row
-        t = np.zeros((m + 1, nc + m + 1))
-        t[:m, :nc] = self.a
-        t[:m, nc : nc + m] = np.eye(m)
-        t[:m, -1] = self.b
-        t[m, :nc] = -self.a.sum(axis=0)
-        t[m, -1] = -self.b.sum()
         basis = list(range(nc, nc + m))
         self._iterate(t, basis, limit_cols=nc + m)
         if -t[-1, -1] > _PHASE1_TOL:
@@ -80,7 +94,6 @@ class SimplexTableau:
             return self.status
 
         # drive leftover artificials out of the basis; drop redundant rows
-        keep = list(range(m))
         for i in range(len(basis) - 1, -1, -1):
             if basis[i] < nc:
                 continue
@@ -90,7 +103,6 @@ class SimplexTableau:
             if pivot_col is None:
                 t = np.delete(t, i, axis=0)
                 del basis[i]
-                del keep[i]
             else:
                 self._pivot(t, basis, i, pivot_col)
 
@@ -109,14 +121,7 @@ class SimplexTableau:
         np.maximum(z, 0.0, out=z)  # absorb -1e-16 scale pivot residue
         self.solution = z
         self.objective = float(self.c @ z)
-        duals = np.zeros(self.m)
-        if keep:
-            block = self.a[np.ix_(keep, basis)]
-            try:
-                duals[keep] = np.linalg.solve(block.T, self.c[basis])
-            except np.linalg.LinAlgError:
-                duals[keep] = np.linalg.lstsq(block.T, self.c[basis], rcond=None)[0]
-        self.duals = duals
+        self.duals = -t[-1, nc : nc + m] * self._sign
         self.status = "optimal"
         return self.status
 
@@ -142,8 +147,8 @@ class SimplexTableau:
 
     def _pivot(self, t, basis, row, col):
         self.pivots += 1
-        if self.pivots > self._cap:
-            raise RuntimeError(f"simplex exceeded the pivot cap ({self._cap})")
+        if self.pivots > PIVOT_CAP:
+            raise RuntimeError(f"simplex exceeded the pivot cap ({PIVOT_CAP})")
         t[row] /= t[row, col]
         factors = t[:, col].copy()
         factors[row] = 0.0
@@ -162,26 +167,19 @@ class LpSolution:
 
     status: str  # "optimal" or "infeasible"
     u_opt: float
-    subsets: tuple[tuple[int, ...], ...]
+    subsets: np.ndarray  # read-only (C(n, k), n) bool, in itertools.combinations order
     probabilities: np.ndarray
     subset_values: np.ndarray
     duals: np.ndarray | None  # one per constraint row: n fairness rows + the sum row
 
     @property
     def support(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """(worker ids, probability) for every subset above SUPPORT_TOL."""
+        keep = np.flatnonzero(self.probabilities > SUPPORT_TOL)
         return tuple(
-            (s, float(p))
-            for s, p in zip(self.subsets, self.probabilities)
-            if p > 1e-10
+            (tuple(np.flatnonzero(self.subsets[i]).tolist()), float(self.probabilities[i]))
+            for i in keep
         )
-
-    def coverage(self, n: int) -> np.ndarray:
-        """Per-worker selection marginal sum_{S : u in S} q_S."""
-        out = np.zeros(n)
-        for s, p in zip(self.subsets, self.probabilities):
-            for u in s:
-                out[u] += p
-        return out
 
 
 def solve_uopt(
@@ -201,26 +199,32 @@ def solve_uopt(
         raise SizeLimitError(
             f"C({n},{k}) = {count} subset variables exceed the cap {subset_cap}"
         )
-    subsets = tuple(itertools.combinations(range(n), k))
+    # the subsets, held once: one bool row each, in combinations order
     masks = np.zeros((count, n), dtype=bool)
-    for row, s in enumerate(subsets):
-        masks[row, list(s)] = True
+    masks[
+        np.repeat(np.arange(count), k),
+        np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+            dtype=np.intp,
+            count=count * k,
+        ),
+    ] = True
+    masks.flags.writeable = False
     values = oracle.evaluate_many(masks)  # each subset utility queried exactly once
 
-    # columns: one probability per subset, then one surplus per fairness row
-    a = np.zeros((n + 1, count + n))
-    a[:n, :count] = masks.T
-    a[:n, count:] = -np.eye(n)
-    a[n, :count] = 1.0
-    b = np.append(pool.fairness, 1.0)
-    c = np.concatenate([-values, np.zeros(n)])  # maximize = minimize the negation
-
-    tableau = SimplexTableau(a, b, c)
+    # columns: one probability per subset, then one surplus per fairness row;
+    # rows: the n fairness floors, then the sum to one. The tableau keeps the
+    # only copy of this matrix.
+    tableau = SimplexTableau(
+        np.block([[masks.T, -np.eye(n)], [np.ones((1, count)), np.zeros((1, n))]]),
+        np.append(pool.fairness, 1.0),
+        np.concatenate([-values, np.zeros(n)]),  # maximize = minimize the negation
+    )
     if tableau.solve() == "infeasible":
         return LpSolution(
             status="infeasible",
             u_opt=math.nan,
-            subsets=subsets,
+            subsets=masks,
             probabilities=np.zeros(count),
             subset_values=values,
             duals=None,
@@ -230,7 +234,7 @@ def solve_uopt(
     solution = LpSolution(
         status="optimal",
         u_opt=float(values @ q),
-        subsets=subsets,
+        subsets=masks,
         probabilities=q,
         subset_values=values,
         duals=tableau.duals,
@@ -241,34 +245,3 @@ def solve_uopt(
     if not (masks.T @ q >= pool.fairness - 1e-9).all():
         raise ContractError("fairness marginal violated")
     return solution
-
-
-def brute_force_uopt(pool: WorkerPool, oracle: UtilityOracle) -> float:
-    """Independent solver for the same LP, for validating the simplex path.
-
-    Only intended for tiny instances (n <= 6, k <= 3); delegates to scipy's
-    HiGHS, a completely separate implementation from SimplexTableau.
-    Returns nan when infeasible.
-    """
-    from scipy.optimize import linprog
-
-    n, k = pool.n, pool.k
-    if n > 6 or k > 3:
-        raise SizeLimitError(f"brute force capped at n<=6, k<=3; got n={n}, k={k}")
-    subsets = list(itertools.combinations(range(n), k))
-    masks = np.zeros((len(subsets), n), dtype=bool)
-    for row, s in enumerate(subsets):
-        masks[row, list(s)] = True
-    values = oracle.evaluate_many(masks)
-    res = linprog(
-        c=-values,
-        A_ub=-masks.T.astype(float),
-        b_ub=-pool.fairness,
-        A_eq=np.ones((1, len(subsets))),
-        b_eq=[1.0],
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if not res.success:
-        return math.nan
-    return float(-res.fun)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint
+from .core import FractionalPoint, as_vector
 from .multilinear import ExtensionEvaluator
 from .oracles import WorkerPool
 
@@ -111,10 +111,7 @@ def fairness_report(
     fairness: Iterable[float],
     eps: float = DEFAULT_FAIRNESS_EPS,
 ) -> FairnessReport:
-    r = np.asarray(list(fairness) if not isinstance(fairness, np.ndarray) else fairness,
-                   dtype=float)
-    if r.shape != (trace.n,):
-        raise ValueError(f"fairness vector has shape {r.shape}, expected ({trace.n},)")
+    r = as_vector(fairness, trace.n, "fairness")
     fractions = trace.fractions()
     return FairnessReport(
         fractions=fractions,
@@ -140,8 +137,7 @@ def alpha_fairness_check(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     alpha = float(alpha)
-    r = np.asarray(list(fairness) if not isinstance(fairness, np.ndarray) else fairness,
-                   dtype=float)
+    r = as_vector(fairness, trace.n, "fairness")
     for t, counts in trace.count_blocks():
         # nonzero is row-major: its first hit is the earliest round, then worker
         bad_rounds, bad_workers = np.nonzero(counts / t < r[None, :] - t ** (-alpha))
@@ -239,11 +235,10 @@ def hoeffding_tail_check(
         raise ValueError("need an ensemble of at least 100 traces")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    horizon = traces[0].horizon
-    if any(tr.horizon != horizon for tr in traces):
-        raise ValueError("all traces must share one horizon")
-    r = np.asarray(list(fairness) if not isinstance(fairness, np.ndarray) else fairness,
-                   dtype=float)
+    horizon, n = traces[0].selected.shape
+    if any(tr.selected.shape != (horizon, n) for tr in traces):
+        raise ValueError("all traces must share one horizon and one worker count")
+    r = as_vector(fairness, n, "fairness")
     stacked = np.stack([tr.fractions() for tr in traces])  # (M, n)
     freq = (stacked <= r[None, :] - delta).mean(axis=0)
     bound = math.exp(-2.0 * horizon * delta * delta)

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ContractError, FractionalPoint
+from .core import ContractError, FractionalPoint, as_vector
 from .oracles import SUM_TOL, WorkerPool
 
 
@@ -24,10 +24,7 @@ def maximize_linear(pool: WorkerPool, weights: Iterable[float]) -> FractionalPoi
     (it is a vertex of P with the budget tight).
     """
     pool.require_feasible()
-    w = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
-                   dtype=float)
-    if w.shape != (pool.n,):
-        raise ValueError(f"weight vector has shape {w.shape}, expected ({pool.n},)")
+    w = as_vector(weights, pool.n, "weight")
     if w.min() < 0.0:
         raise ContractError("weights must be non-negative")
 

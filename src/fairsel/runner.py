@@ -33,7 +33,7 @@ from .core import FractionalPoint, derive_draws, derive_rng, format_float  # noq
 from .discrete import DebtLedger, dg_round, fairdg_round, round_robin_policy
 from .rounding import dep_round, dep_round_many  # noqa: F401
 from .greedy import ContinuousGreedyResult, GreedyStep, faircg1_fractional, faircg2_fractional
-from .lp import LpSolution, solve_uopt
+from .lp import SUPPORT_TOL, LpSolution, solve_uopt
 from .metrics import (
     TRACE_BLOCK,
     BoundCertificates,
@@ -274,12 +274,10 @@ def run_opt(config: RunConfig, out_dir: str | Path | None = None) -> LpSolution:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        keep = np.flatnonzero(solution.probabilities > 1e-10)
-        members = np.zeros((keep.size, pool.n), dtype=bool)
-        members[np.arange(keep.size)[:, None], [solution.subsets[i] for i in keep]] = True
+        keep = np.flatnonzero(solution.probabilities > SUPPORT_TOL)
         _write_csv(
             out / "support.csv",
-            subset=members,
+            subset=solution.subsets[keep],
             utility=solution.subset_values[keep],
             probability=solution.probabilities[keep],
         )

@@ -3,6 +3,9 @@
 Every randomized test draws from an explicitly seeded generator, so the whole
 suite is deterministic; "random" here means "varied, frozen by seed".
 """
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,34 @@ def make_random_instance(rng, n_range=(4, 9), k_range=(2, 4), kind=None):
     oracle = make_random_oracle(rng, n, kind=kind)
     pool = WorkerPool(n=n, k=k, fairness=make_random_floors(rng, n, k))
     return pool, oracle
+
+
+def brute_force_uopt(pool, oracle):
+    """U_opt from scipy's HiGHS, the suite's one independent LP reference.
+
+    Builds the stationary LP from scratch (one column per size-k subset, a
+    floor row per worker, the sum-to-one row) and shares no code with
+    fairsel.lp. Returns nan when the LP is infeasible.
+    """
+    from scipy.optimize import linprog
+
+    subsets = list(itertools.combinations(range(pool.n), pool.k))
+    masks = np.zeros((len(subsets), pool.n), dtype=bool)
+    for row, s in enumerate(subsets):
+        masks[row, list(s)] = True
+    values = oracle.evaluate_many(masks)
+    res = linprog(
+        c=-values,
+        A_ub=-masks.T.astype(float),
+        b_ub=-pool.fairness,
+        A_eq=np.ones((1, len(subsets))),
+        b_eq=[1.0],
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    if not res.success:
+        return math.nan
+    return float(-res.fun)
 
 
 def water_fill_brute(fairness, k, weights):

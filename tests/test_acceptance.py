@@ -20,7 +20,6 @@ from fairsel import (
     ModularOracle,
     SelectionTrace,
     WorkerPool,
-    brute_force_uopt,
     dep_round_many,
     derive_rng,
     fairdg_round,
@@ -36,6 +35,7 @@ from fairsel.presets import DEMO_BETAS, demo_config, demo_oracle
 from fairsel.runner import execute_run, run_sweep
 
 from conftest import (
+    brute_force_uopt,
     exact_mean_sigma,
     make_random_floors,
     make_random_oracle,

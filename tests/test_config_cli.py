@@ -385,17 +385,26 @@ def test_run_config_is_frozen():
 
 def test_run_and_opt_never_import_scipy(tmp_path):
     # a fresh interpreter, because other tests import scipy into this one;
-    # scipy.optimize would add about 48 MB of peak memory to every run
+    # scipy.optimize would add about 48 MB of peak memory to every run. With
+    # scipy blocked, any import of it in the library fails the command.
     raw = demo_config(policy="faircg1", horizon=50)
     raw["step_count"] = 3
     path = _write(tmp_path, raw)
-    run = ["run", "--config", path, "--out", str(tmp_path / "run")]
-    opt = ["opt", "--config", path, "--out", str(tmp_path / "opt")]
+    commands = [
+        ["run", "--config", path, "--out", str(tmp_path / "run")],
+        ["opt", "--config", path, "--out", str(tmp_path / "opt")],
+        ["sweep", "--config", path, "--out", str(tmp_path / "sweep")],
+        ["check", "--config", path],
+    ]
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from fairsel.cli import main\n"
-        f"assert main({run!r}) == 0 and main({opt!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"assert all(main(argv) == 0 for argv in {commands!r})\n"
+        "try:\n"
+        "    import scipy.optimize\n"
+        "except ImportError:\n"
+        "    print('scipy blocked')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -406,4 +415,5 @@ def test_run_and_opt_never_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "u_opt=" in proc.stdout and (tmp_path / "opt" / "support.csv").exists()
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep" / "sweep.csv").exists() and "feasible=yes" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "scipy blocked"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from fairsel import (
     SimplexTableau,
     SizeLimitError,
     WorkerPool,
-    brute_force_uopt,
     solve_uopt,
 )
 from fairsel.presets import demo_fairness
 
-from conftest import make_random_floors, make_random_oracle
+from conftest import brute_force_uopt, make_random_floors, make_random_oracle
 
 # stationary optimum of the bundled instance at beta=0.42, frozen after an
 # independent recomputation with scipy's HiGHS over the same 210 subsets
@@ -73,23 +73,7 @@ def test_demo_value_frozen_and_independently_recomputed(demo):
     assert sol.u_opt == pytest.approx(DEMO_UOPT, abs=1e-9)
 
     # independent route: same LP through scipy (HiGHS), no shared code
-    from scipy.optimize import linprog
-
-    subsets = list(itertools.combinations(range(10), 6))
-    masks = np.zeros((len(subsets), 10), dtype=bool)
-    for row, s in enumerate(subsets):
-        masks[row, list(s)] = True
-    values = oracle.evaluate_many(masks)
-    res = linprog(
-        c=-values,
-        A_ub=-masks.T.astype(float),
-        b_ub=-pool.fairness,
-        A_eq=np.ones((1, len(subsets))),
-        b_eq=[1.0],
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    assert sol.u_opt == pytest.approx(float(-res.fun), abs=1e-9)
+    assert sol.u_opt == pytest.approx(brute_force_uopt(pool, oracle), abs=1e-9)
 
 
 def test_solution_is_a_fair_distribution(demo):
@@ -97,8 +81,23 @@ def test_solution_is_a_fair_distribution(demo):
     sol = solve_uopt(pool, oracle)
     assert sol.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
     assert (sol.probabilities >= -1e-12).all()
-    assert (sol.coverage(10) >= pool.fairness - 1e-9).all()
+    assert (sol.subsets.T @ sol.probabilities >= pool.fairness - 1e-9).all()
     assert all(len(s) == 6 for s, _ in sol.support)
+
+
+def test_subsets_are_one_read_only_bool_matrix_in_combinations_order():
+    pool = WorkerPool(n=5, k=2, fairness=np.full(5, 0.3))
+    sol = solve_uopt(pool, ModularOracle([0.5, 0.1, 0.9, 0.3, 0.7]))
+    assert sol.subsets.dtype == bool and sol.subsets.shape == (10, 5)
+    assert [tuple(np.flatnonzero(row)) for row in sol.subsets] == list(
+        itertools.combinations(range(5), 2)
+    )
+    assert not sol.subsets.flags.writeable
+    keep = sol.probabilities > 1e-10
+    assert [ids for ids, _ in sol.support] == [
+        tuple(np.flatnonzero(row)) for row in sol.subsets[keep]
+    ]
+    assert [p for _, p in sol.support] == sol.probabilities[keep].tolist()
 
 
 def test_strong_duality_on_the_demo(demo):
@@ -126,9 +125,6 @@ def test_size_caps():
     pool = WorkerPool(n=10, k=5, fairness=np.zeros(10))
     with pytest.raises(SizeLimitError):
         solve_uopt(pool, oracle, subset_cap=100)  # C(10,5)=252 > 100
-    big = WorkerPool(n=7, k=3, fairness=np.zeros(7))
-    with pytest.raises(SizeLimitError):
-        brute_force_uopt(big, ModularOracle(np.ones(7)))
 
 
 def test_simplex_on_tiny_programs():
@@ -148,6 +144,14 @@ def test_simplex_on_tiny_programs():
     )
     assert t.solve() == "optimal"
     assert t.objective == pytest.approx(-2.0, abs=1e-12)
+    # row 1 is dropped without having been a pivot row: its dual is zero
+    assert t.duals.tolist() == pytest.approx([-2.0, 0.0], abs=1e-12)
+
+    # a row entered with b < 0: the duals belong to the system as given
+    t = SimplexTableau(a=[[-1.0, -1.0]], b=[-1.0], c=[1.0, 2.0])
+    assert t.solve() == "optimal"
+    assert t.objective == pytest.approx(1.0, abs=1e-12)
+    assert t.duals.tolist() == pytest.approx([-1.0], abs=1e-12)
 
 
 def test_simplex_rejects_inconsistent_shapes():
@@ -177,3 +181,45 @@ def test_simplex_matches_scipy_on_random_equality_lps():
         assert mine.objective == pytest.approx(float(ref.fun), abs=1e-7)
         solved += 1
     assert solved >= 20  # the comparison actually exercised real programs
+
+
+def test_duals_certify_the_optimum_with_negated_and_duplicated_rows():
+    # duals.b equals the objective and c - duals.A >= 0 over every row as
+    # given: rows with b < 0 (negated inside the tableau) and the row that
+    # duplicates row 0, which phase one drops as redundant, included
+    rng = np.random.default_rng(71)
+    negated = 0
+    for _ in range(200):
+        m = int(rng.integers(2, 6))
+        nc = int(rng.integers(m + 1, m + 8))
+        a = rng.uniform(-1.0, 2.0, (m, nc))
+        b = a @ rng.uniform(0.0, 1.0, nc)
+        flip = rng.random(m) < 0.5
+        a[flip] *= -1.0
+        b[flip] *= -1.0
+        dup = int(rng.integers(1, m))
+        a[dup], b[dup] = -3.0 * a[0], -3.0 * b[0]
+        c = rng.uniform(0.0, 1.0, nc)  # c >= 0 keeps every program bounded
+        t = SimplexTableau(a, b, c)
+        assert t.solve() == "optimal"
+        assert float(t.duals @ b) == pytest.approx(t.objective, abs=1e-9)
+        assert (c - t.duals @ a >= -1e-9).all()
+        negated += bool((b < 0).any())
+    assert negated >= 150
+
+
+def test_solve_peak_memory_stays_near_one_tableau():
+    # C(14,7) = 3432 subset columns; the tableau has n + 2 rows and one
+    # column per subset, surplus, artificial and the right-hand side
+    n, k = 14, 7
+    pool = WorkerPool(n=n, k=k, fairness=np.full(n, 0.3 * k / n))
+    oracle = ModularOracle(np.linspace(0.1, 1.0, n))
+    tableau_bytes = (n + 2) * (math.comb(n, k) + 2 * n + 2) * 8
+    tracemalloc.start()
+    try:
+        sol = solve_uopt(pool, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak <= 3 * tableau_bytes

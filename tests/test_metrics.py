@@ -207,3 +207,22 @@ def test_hoeffding_preconditions():
     short = SelectionTrace(np.tile([True, False], (9, 1)), np.zeros(9))
     with pytest.raises(ValueError):
         hoeffding_tail_check(traces[:99] + [short], y.coords, delta=0.1)
+    wide = SelectionTrace(np.tile([True, False, False], (10, 1)), np.zeros(10))
+    with pytest.raises(ValueError, match="worker count"):
+        hoeffding_tail_check(traces[:99] + [wide], y.coords, delta=0.1)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_fairness_checks_reject_a_floor_vector_of_the_wrong_length(length):
+    # a one-element vector must not broadcast to every worker, and a longer
+    # one must fail by shape, not inside numpy
+    y = FractionalPoint((0.6, 0.4, 0.5, 0.5))
+    traces = [SelectionTrace(_rounded_matrix(y, 3, m, 20), np.zeros(20)) for m in range(100)]
+    floors = [0.4] * length
+    wrong_shape = rf"fairness vector has shape \({length},\), expected \(4,\)"
+    with pytest.raises(ValueError, match=wrong_shape):
+        fairness_report(traces[0], floors)
+    with pytest.raises(ValueError, match=wrong_shape):
+        alpha_fairness_check(traces[0], floors, alpha=0.5)
+    with pytest.raises(ValueError, match=wrong_shape):
+        hoeffding_tail_check(traces, np.array(floors), delta=0.1)
