@@ -11,10 +11,18 @@ averages f over sampled sets. Samples are drawn in chunks of DEFAULT_CHUNK
 rows, chunk c of stream s from derive_rng(seed, _MC_STREAM, s, c), and summed
 in chunk order, so a given (seed, samples, stream) is bit-reproducible.
 
-Marginal weights are w_u = F(y with y_u forced to 1) - F(y). The forced and
-baseline evaluations share the same sampled sets (common random numbers),
-which makes every per-sample difference non-negative for a monotone utility,
-cuts the variance sharply, and re-queries only the rows whose set changes.
+Marginal weights are w_u = F(y with y_u forced to 1) - F(y) = (1 - y_u) dF/dy_u.
+Exact mode gets all n of them in O(2^n) by a reverse-mode contraction of the
+table: a forward pass contracts one worker's bit at a time with
+(1 - y_u, y_u), keeping each partial table, and a backward pass dots each
+partial table's difference along worker u's bit with the Kronecker product of
+the remaining (1 - y_v, y_v). Both sides of that difference are the same sums
+in the same order, so for a monotone utility no weight rounds below zero, and
+a weight is exactly 0.0 where y_u = 1. F(y) itself still comes from the one
+weighted sum over the table. The Monte Carlo forced and baseline evaluations
+share the same sampled sets (common random numbers), which makes every
+per-sample difference non-negative for a monotone utility, cuts the variance
+sharply, and re-queries only the rows whose set changes.
 """
 from __future__ import annotations
 
@@ -128,16 +136,23 @@ class ExtensionEvaluator:
         return float(probs @ table)
 
     def _weights_exact(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
-        base = self._value_exact(coords)
+        _, table = self._exact_table()
         n = coords.size
-        w = np.zeros(n)
-        for u in range(n):
-            if coords[u] == 1.0:
-                continue  # forcing u changes nothing
-            forced = coords.copy()
-            forced[u] = 1.0
-            w[u] = self._value_exact(forced) - base
-        return w, base
+        # forward: partials[u] is the table with workers 0..u-1 contracted
+        # away; a row index is a bitmask, so worker u's bit is the last axis
+        partials = [table]
+        for y in coords[:-1]:
+            pairs = partials[-1].reshape(-1, 2)
+            partials.append(pairs[:, 0] * (1.0 - y) + pairs[:, 1] * y)
+        # backward: tail is the Kronecker product of (1 - y_v, y_v) over v > u
+        grad = np.empty(n)
+        tail = np.ones(1)
+        for u in range(n - 1, -1, -1):
+            pairs = partials[u].reshape(-1, 2)
+            grad[u] = (pairs[:, 1] - pairs[:, 0]) @ tail
+            if u:
+                tail = np.outer(tail, (1.0 - coords[u], coords[u])).ravel()
+        return (1.0 - coords) * grad, self._value_exact(coords)
 
     def _sampled_sets(self, coords: np.ndarray, stream: int) -> Iterator[np.ndarray]:
         """Each chunk's sampled sets as a (rows, n) bool matrix, in chunk order."""

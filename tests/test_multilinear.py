@@ -8,6 +8,8 @@ from fairsel import (
     SizeLimitError,
     ExtensionEstimator,
     ExtensionEvaluator,
+    WorkerPool,
+    faircg2_fractional,
 )
 
 from conftest import ORACLE_KINDS, make_random_oracle
@@ -57,18 +59,88 @@ def test_extension_is_affine_per_coordinate():
         assert evaluator.value(y) == pytest.approx(expected, abs=1e-10)
 
 
-def test_exact_weights_match_forced_differences():
-    rng = np.random.default_rng(11)
-    oracle = make_random_oracle(rng, 6)
-    evaluator = ExtensionEvaluator(oracle, EXACT)
-    y = rng.uniform(0.0, 1.0, 6)
+def _forced_differences(evaluator, y):
+    """Reference weights: F(y with y_u forced to 1) - F(y), one pass per u."""
+    y = np.asarray(y, dtype=float)
     base = evaluator.value(y)
-    w = evaluator.weights(y)
-    for u in range(6):
+    w = np.zeros(y.size)
+    for u in range(y.size):
+        if y[u] == 1.0:
+            continue  # forcing u changes nothing
         forced = y.copy()
         forced[u] = 1.0
-        assert w[u] == pytest.approx(evaluator.value(forced) - base, abs=1e-10)
+        w[u] = evaluator.value(forced) - base
+    return w
+
+
+EXACT_COORDINATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(ORACLE_KINDS),
+    y=st.lists(EXACT_COORDINATES, min_size=1, max_size=10),
+)
+def test_exact_weights_match_forced_differences(seed, kind, y):
+    y = np.array(y)
+    oracle = make_random_oracle(np.random.default_rng(seed), y.size, kind=kind)
+    evaluator = ExtensionEvaluator(oracle, EXACT)
+    w = evaluator.weights(y)
+    scale = max(1.0, oracle.evaluate(range(y.size)))
+    assert np.abs(w - _forced_differences(evaluator, y)).max() <= 1e-12 * scale
+    # the raw kernel output, with nothing clipped: never negative, and
+    # exactly zero where the worker is in every set the extension averages
     assert (w >= 0.0).all()
+    assert (w[y == 1.0] == 0.0).all()
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_exact_weights_at_the_exact_cap(kind):
+    rng = np.random.default_rng(15)
+    oracle = make_random_oracle(rng, 15, kind=kind)
+    evaluator = ExtensionEvaluator(oracle, EXACT)
+    scale = max(1.0, oracle.evaluate(range(15)))
+    saturated = rng.uniform(0.0, 1.0, 15)
+    saturated[::4] = 1.0
+    for y in (np.zeros(15), np.full(15, 0.5), rng.uniform(0.0, 1.0, 15), saturated):
+        w = evaluator.weights(y)
+        assert np.abs(w - _forced_differences(evaluator, y)).max() <= 1e-12 * scale
+        assert (w >= 0.0).all()
+        assert (w[y == 1.0] == 0.0).all()
+
+
+def test_exact_weights_take_one_table_pass_per_call(monkeypatch):
+    # one baseline pass over the 2^n table per weights call; a kernel that
+    # re-evaluates F at each forced point would make n + 1 of them
+    calls = []
+    value_exact = ExtensionEvaluator._value_exact
+
+    def spy(self, coords):
+        calls.append(coords)
+        return value_exact(self, coords)
+
+    monkeypatch.setattr(ExtensionEvaluator, "_value_exact", spy)
+    rng = np.random.default_rng(4)
+    evaluator = ExtensionEvaluator(make_random_oracle(rng, 9), EXACT)
+    points = [np.zeros(9), np.full(9, 0.5), rng.uniform(0.0, 1.0, 9)]
+    for y in points:
+        evaluator.weights(y)
+    assert len(calls) == len(points)
+
+
+def test_coverage_weights_never_round_below_zero():
+    # worker 1 covers nothing worker 0 does not, so once y_0 = 1 its true
+    # weight is 0; subtracting two separately rounded sums made it -1.1e-16,
+    # and water filling then rejected the weight vector mid-run
+    oracle = CoverageOracle(3, [0.1, 0.2, 0.3, 0.7], [(0, 1, 2), (1,), (3,)])
+    evaluator = ExtensionEvaluator(oracle, EXACT)
+    w = evaluator.weights((1.0, 0.1, 0.15))
+    assert w[0] == 0.0 and w[1] == 0.0
+    assert w[2] == pytest.approx(0.7 * 0.85, abs=1e-15)
+    pool = WorkerPool(3, 2, fairness=[1.0, 0.1, 0.15])
+    result = faircg2_fractional(pool, evaluator, step_count=9)
+    assert result.y1.coords == pytest.approx([1.0, 0.1, 0.9], abs=1e-12)
 
 
 def test_weight_is_zero_at_saturated_coordinate():

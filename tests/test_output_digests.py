@@ -18,12 +18,12 @@ PINNED_CSV_SHA256 = {
     "run-faircg1/convergence.csv": "1b5ba55d0c4f02171d78e86879940ab0ac28c7719748db20f8c6dd50c2a130c3",
     "run-faircg1/fractions.csv": "523dab93a26ef3e07cf1a43fd7b3cefd956919f5f50aed9ef01da38c463fddb2",
     "run-faircg1/rounds.csv": "352992e72dca01e7caf6c6e3c7ec2b01f256aebd03e23b38b6585b0532e19dc5",
-    "run-faircg1/steps.csv": "e6dd6a8fa7e4afeb657c7a2e9c12434541bd716491554629b84be97213f38c4d",
+    "run-faircg1/steps.csv": "19be46cfd4e4413c3843128f6ea862ccc58d80546c9c9e5242e2ade9a5ac2aa4",
     "run-faircg2/bounds.csv": "5864aa25864b26c04c2889801173ba921fbdf531e10c4f1a8f1dceb1841d3434",
     "run-faircg2/convergence.csv": "bfb33c9199c52ec9f578b53c3a82faff76f740743ecd16ab916aba9e95c9f364",
     "run-faircg2/fractions.csv": "572055988a1817f22ba433fc03b682dfd48b64f6e7a8a1ac3431d0377f2f1cca",
     "run-faircg2/rounds.csv": "79e3fe0e3524d1b8736002057f0dea3f12c6892775ac70ad2b04d0cbd0b44351",
-    "run-faircg2/steps.csv": "21833d8a511c71dc73486be418d8d7d88370cacaeb847685dd7ff1ada33d25f2",
+    "run-faircg2/steps.csv": "7a03b19efe19fb96a3669fddf55b0cba5172c552149753411e3570f24bca2823",
     "run-faircg1-mc/bounds.csv": "973f01b7e5819100bfd8d78ad4afb0e1575fda58d9f9d4d877f94bd689ed8308",
     "run-faircg1-mc/convergence.csv": "4ad300d8af3285b69ab8474c3fe89d35a77409cd8b75e85172363ccaaac043db",
     "run-faircg1-mc/fractions.csv": "a83604393d3989ea66d2780cd3db9d6627f29576ad95eb09681f2fbf7209f30d",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fairsel import ContractError, FeasibilityError, WorkerPool, maximize_linear
 from fairsel.presets import demo_fairness
@@ -52,17 +53,30 @@ def test_water_filling_output_always_sums_to_budget():
         assert (x.coords >= r - 1e-9).all()
 
 
-def test_water_filling_matches_vertex_enumeration():
-    rng = np.random.default_rng(23)
-    for trial in range(60):
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(1, n + 1))
-        r = make_random_floors(rng, n, k)
-        w = rng.uniform(0.0, 2.0, n)
-        if trial % 3 == 0:
-            w = np.round(w, 1)  # force ties
-        got = float(w @ maximize_linear(_pool(r, k=k), w).coords)
-        assert got == pytest.approx(water_fill_brute(r, k, w), abs=1e-9)
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    data=st.data(),
+    n=st.integers(1, 7),
+    load=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_water_filling_matches_vertex_enumeration(data, n, load):
+    # every vertex of P sits at r_u or 1 in each coordinate except at most
+    # one, which the budget sets; water filling must reach the best of them
+    k = data.draw(st.integers(1, n), label="k")
+    # 0.5 among the fixed values makes ties in the weights
+    unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    raw = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="raw"))
+    r = raw * (load * k / raw.sum()) if raw.sum() > 0.0 else raw
+    pool = _pool(np.minimum(r, 1.0), k)
+    assume(pool.is_feasible())
+    # FractionalPoint snaps a coordinate within 1e-9 (SNAP_EPS) of 0 or 1
+    # onto it, which would move w.x by more than the tolerance checked here
+    r = pool.fairness
+    assume(((r == 0.0) | (r == 1.0) | ((r > 1e-6) & (r < 1.0 - 1e-6))).all())
+    w = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="w"))
+    x = maximize_linear(pool, w).coords
+    assert (x >= r).all() and (x <= 1.0).all()
+    assert float(w @ x) == pytest.approx(water_fill_brute(r, k, w), abs=1e-12)
 
 
 def test_water_filling_errors():
