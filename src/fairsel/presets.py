@@ -36,10 +36,12 @@ def demo_oracle() -> AccuracyOracle:
 
 
 # Default seed for the demo runs. The rounding stage leaves the low-count
-# workers exactly at their floors, so the realized fractions hover within
-# sampling noise of the requirement; this seed keeps every worker at or
-# above requirement - 1e-3 over the 1e5-round horizon for both continuous
-# greedy variants, with the widest joint margin among seeds 0..44.
+# workers exactly at their floors, so their realized fractions sit within
+# rounding noise of the requirement. Over the 1e5-round horizon with seeds
+# 0..44, every worker ends at or above requirement - 1e-3 on 45 of 45 seeds
+# for faircg1 and 42 of 45 for faircg2 (on seeds 4, 33 and 44 a worker ends
+# up to 2.7e-4 below that line); seed 43, chosen when rounds drew
+# independently, passes both.
 DEMO_MASTER_SEED = 43
 
 

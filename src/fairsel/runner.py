@@ -1,11 +1,13 @@
 """End-to-end policy runs: execute, derive reports, write deterministic files.
 
 Stationary policies are run on their fast path: the continuous-greedy
-variants compute the fractional point once and round it independently every
-round (round t uses the stream derived from (master_seed, ROUND_STREAM, t)),
-TRACE_BLOCK rounds at a time, and the plain greedy baseline computes its set
-once and replays it. The debt scheduler is genuinely sequential and is
-looped round by round.
+variants compute the fractional point once and round it every round,
+TRACE_BLOCK rounds at a time. Round t rounds with the draws
+frac(U + t * alpha) of ``derive_draws``: one random shift U from the stream
+(master_seed, ROUND_STREAM) and a Kronecker step alpha, so each round has
+dep_round's law and each worker's count stays close to y1_u * t. The plain
+greedy baseline computes its set once and replays it. The debt scheduler is
+genuinely sequential and is looped round by round.
 
 All CSV output is byte-deterministic for a given (config, master_seed):
 floats are written in shortest-exact form and every row order is fixed.
@@ -86,8 +88,8 @@ def execute_run(config: RunConfig) -> RunResult:
         evaluator = ExtensionEvaluator(oracle, config.build_estimator())
         driver = faircg1_fractional if config.policy == "faircg1" else faircg2_fractional
         greedy_result = driver(pool, evaluator, step_count=config.resolved_step_count())
-        # the same draws and sets as dep_round(y1, derive_rng(seed, ROUND_STREAM, t))
-        # round by round, with a block's draws held only while it is rounded
+        # round t's draws are row t of one shifted Kronecker sequence; a
+        # block's draws are held only while it is rounded
         for start in range(0, config.horizon, TRACE_BLOCK):
             stop = min(start + TRACE_BLOCK, config.horizon)
             rounds = np.arange(start, stop)

@@ -11,7 +11,7 @@ from fairsel import (
     alpha_fairness_check,
     bound_certificates,
     dep_round_many,
-    derive_draws,
+    derive_rng,
     fairness_report,
     hoeffding_tail_check,
 )
@@ -20,9 +20,9 @@ from fairsel.multilinear import ExtensionEstimator, ExtensionEvaluator
 
 
 def _rounded_matrix(y, seed, member, horizon):
-    """(T, n) selection matrix of T independent roundings of y: round t is
-    dep_round(y, derive_rng(seed, member, t))."""
-    return dep_round_many(y, derive_draws(seed, (member,), range(horizon), len(y)))
+    """(T, n) selection matrix of T independent roundings of y: the rounds
+    take successive n-uniform draws of one derive_rng(seed, member) stream."""
+    return dep_round_many(y, derive_rng(seed, member).random((horizon, len(y))))
 
 
 @pytest.fixture()

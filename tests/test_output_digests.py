@@ -15,24 +15,24 @@ from fairsel.presets import demo_config
 
 PINNED_CSV_SHA256 = {
     "run-faircg1/bounds.csv": "f8a000d3f1b03838b7548036b57bb1aadf9b68ff5ee57339c6bc692f6d5dc35a",
-    "run-faircg1/convergence.csv": "1b5ba55d0c4f02171d78e86879940ab0ac28c7719748db20f8c6dd50c2a130c3",
-    "run-faircg1/fractions.csv": "523dab93a26ef3e07cf1a43fd7b3cefd956919f5f50aed9ef01da38c463fddb2",
-    "run-faircg1/rounds.csv": "352992e72dca01e7caf6c6e3c7ec2b01f256aebd03e23b38b6585b0532e19dc5",
+    "run-faircg1/convergence.csv": "03f71d723230b06932c0c12a4abae310b736855be9ef1320c6d44cb04f43d918",
+    "run-faircg1/fractions.csv": "7546695a853a0c814910e5f0ec27db865c4bc3110deeb469ea88cc51f71803a1",
+    "run-faircg1/rounds.csv": "904434c508249f59ad038eed629a511f908d476672dd5b0c30735c3d525ba1cb",
     "run-faircg1/steps.csv": "19be46cfd4e4413c3843128f6ea862ccc58d80546c9c9e5242e2ade9a5ac2aa4",
     "run-faircg2/bounds.csv": "5864aa25864b26c04c2889801173ba921fbdf531e10c4f1a8f1dceb1841d3434",
-    "run-faircg2/convergence.csv": "bfb33c9199c52ec9f578b53c3a82faff76f740743ecd16ab916aba9e95c9f364",
-    "run-faircg2/fractions.csv": "572055988a1817f22ba433fc03b682dfd48b64f6e7a8a1ac3431d0377f2f1cca",
-    "run-faircg2/rounds.csv": "79e3fe0e3524d1b8736002057f0dea3f12c6892775ac70ad2b04d0cbd0b44351",
+    "run-faircg2/convergence.csv": "7e61e698aaf475aab5b80cc976f77d2721b3c7ba5d7d2d633bf02c238cae7b8a",
+    "run-faircg2/fractions.csv": "10ffc0955c9779b8459ad591722877fd927eef22170db63234cdb93c3a5ba67b",
+    "run-faircg2/rounds.csv": "860be1e74f19d305957f6222b573ee29867318ab3d05781efa58092f922b9700",
     "run-faircg2/steps.csv": "7a03b19efe19fb96a3669fddf55b0cba5172c552149753411e3570f24bca2823",
     "run-faircg1-mc/bounds.csv": "973f01b7e5819100bfd8d78ad4afb0e1575fda58d9f9d4d877f94bd689ed8308",
-    "run-faircg1-mc/convergence.csv": "4ad300d8af3285b69ab8474c3fe89d35a77409cd8b75e85172363ccaaac043db",
-    "run-faircg1-mc/fractions.csv": "a83604393d3989ea66d2780cd3db9d6627f29576ad95eb09681f2fbf7209f30d",
-    "run-faircg1-mc/rounds.csv": "d15c4746595ace1706990ef2df6edcbc2b06311bdb9d56613b6f89c4d3bdfd2c",
+    "run-faircg1-mc/convergence.csv": "9a490120e15171dd93bfb5d6a91604edaf6f76da9ba6127fa0002dbfaf783528",
+    "run-faircg1-mc/fractions.csv": "1c8b4956c88a362cb9ea02aeca796e5cadc3b1b33e81e1c3db5c624a7b4bf35e",
+    "run-faircg1-mc/rounds.csv": "294c9fb13462f22261c6ab19881654f356df5b6f564dc87ee3b920c56e7ba4ae",
     "run-faircg1-mc/steps.csv": "4efbfb107cd85aeda4dd35861ab2a4105915a888db859ef06639b250699584f8",
     "run-faircg2-mc/bounds.csv": "a2d2f49a0717dcddccf71489c74ea06cd3537f65900a5387d4dac4b60a6bec62",
-    "run-faircg2-mc/convergence.csv": "876b7dcb6b94bb3d96d5bec0f47af4c2be81d75e5f2498924e3441d2cef4dbe3",
-    "run-faircg2-mc/fractions.csv": "dc0406e24b4d48abd463c50a811c58a3d0a3b18f7399049a7dfc87c65ff2d5b4",
-    "run-faircg2-mc/rounds.csv": "eb3c19544252051e19953ed808d15e4f91ce73029ab88d824aef774ad430583f",
+    "run-faircg2-mc/convergence.csv": "22c41e2f6db1f2c423af68f21fc9cd8352ed4de73d25a0258680681e859f2383",
+    "run-faircg2-mc/fractions.csv": "5c71f87f23340fd90ced1efff4cffd501c1d69464c58117a85a70950e1902d61",
+    "run-faircg2-mc/rounds.csv": "2bc42ff0d449127a3e82c146b7dec5254ef0e5799d372477720923fd2a2bcd47",
     "run-faircg2-mc/steps.csv": "b3c67c285ba2cc06e31012f736f1b21874b71d758e4f1c178644e04067f5a179",
     "run-fairdg/convergence.csv": "7513a012cd1d12c66a24d231738a5d8a73603e10e1daeabbf33494f196571e9c",
     "run-fairdg/fractions.csv": "1a7e2db5fe94bcd85a33c3270a15fe638ef4a5636c8b27bd0e4679503204064f",
@@ -43,7 +43,7 @@ PINNED_CSV_SHA256 = {
     "run-roundrobin/convergence.csv": "9dd3ee84919f242c338a0963f1c1c26a5a64f25e304d4d034ee5487bbdfe5172",
     "run-roundrobin/fractions.csv": "867700c040534b7353bac723066fb32b126da2e1eda30a10521d626f8616aed2",
     "run-roundrobin/rounds.csv": "ab4e89d8a724a5509c58b110917ecd66719ab6596f5cce366701e6f6debc9205",
-    "sweep/sweep.csv": "952fd27d308e54f0655f86d5de504c3ecf2101c2b458d547c6a8e70f66230c58",
+    "sweep/sweep.csv": "113c665faae9576cc76240a68b3ed9fd48e7274af40e01436fbad9e7dedf7f1e",
     "opt/support.csv": "17a5eb183fe741d2bd4bee9ad0cd859d119733efd86904f62a36d0f44e43c564",
 }
 

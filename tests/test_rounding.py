@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +13,11 @@ from fairsel import (
     dep_round_many,
     derive_draws,
     derive_rng,
+    faircg1_fractional,
     maximize_linear,
 )
 from fairsel.config import parse_config
+from fairsel.core import kronecker_alpha
 from fairsel.metrics import TRACE_BLOCK
 from fairsel.multilinear import ExtensionEvaluator
 from fairsel.presets import demo_config
@@ -120,43 +125,66 @@ def test_contract_errors():
 
 
 # ---------------------------------------------------------------------------
-# the batched kernels against their scalar references
-
-SEEDS = st.one_of(
-    st.integers(0, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-    st.integers(2**64, 2**80),
-)
-ROUND_INDICES = st.one_of(st.integers(0, 5000), st.integers(0, 2**32 - 1))
+# the shifted Kronecker draws
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(
-    seed=SEEDS,
-    path=st.lists(st.integers(0, 2**40), max_size=3),
-    rounds=st.lists(ROUND_INDICES, min_size=1, max_size=6),
-    n=st.integers(1, 20),
-)
-def test_derive_draws_equal_the_per_round_generators(seed, path, rounds, n):
-    draws = derive_draws(seed, path, rounds, n)
-    assert draws.shape == (len(rounds), n)
-    for row, t in zip(draws, rounds):
-        assert np.array_equal(row, derive_rng(seed, *path, t).random(n))
+@pytest.fixture(scope="module")
+def demo_y1(demo):
+    pool, oracle = demo
+    return faircg1_fractional(pool, ExtensionEvaluator(oracle)).y1
 
 
-def test_derive_draws_edge_seeds_and_rounds():
-    rounds = [0, 1, 4095, 4096, 2**31, 2**32 - 1]
-    for seed in (0, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1, 2**64, 2**70 + 9):
-        draws = derive_draws(seed, (ROUND_STREAM,), rounds, 16)
-        for row, t in zip(draws, rounds):
-            assert np.array_equal(row, derive_rng(seed, ROUND_STREAM, t).random(16))
+@pytest.mark.parametrize("t", [0, 4097, 99_999])
+def test_each_round_of_the_draws_rounds_with_dep_rounds_law(demo_y1, t):
+    # across master seeds round t's row is uniform, so the sets have size k
+    # and hit worker u with probability y1_u; without the random shift every
+    # seed would draw the same row and the same set
+    seeds = 4000
+    rows = np.concatenate(
+        [derive_draws(s, (ROUND_STREAM,), [t], demo_y1.n) for s in range(seeds)]
+    )
+    selected = dep_round_many(demo_y1, rows)
+    assert (selected.sum(axis=1) == round(demo_y1.sum())).all()
+    # two-sided Hoeffding tolerance at failure probability 1e-4 per element
+    tol = math.sqrt(math.log(2.0 / 1e-4) / (2.0 * seeds))
+    assert np.abs(selected.mean(axis=0) - demo_y1.coords).max() <= tol
+
+
+def _plastic_number() -> Decimal:
+    """The real root of x^3 = x + 1, by Newton's method in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal("1.3")
+        for _ in range(60):
+            x -= (x**3 - x - 1) / (3 * x**2 - 1)
+        return +x
+
+
+def test_kronecker_alpha_is_the_golden_ratio_and_plastic_number_sequence():
+    with localcontext() as ctx:
+        ctx.prec = 40
+        golden = (1 + Decimal(5).sqrt()) / 2
+        plastic = _plastic_number()
+        expected = {1: [1 / golden], 2: [1 / plastic, 1 / plastic**2]}
+    for n, powers in expected.items():
+        alpha = kronecker_alpha(n)
+        assert alpha.shape == (n,)
+        for got, want in zip(alpha.tolist(), powers):
+            assert abs(got - float(want)) <= math.ulp(float(want))
+
+
+def test_draws_lie_in_the_unit_interval_and_start_at_the_shift():
+    rounds = [0, 1, 4095, 4096, 99_999, 2**31, 2**40]
+    for seed, n in ((0, 1), (7, 10), (2**64 + 3, 40)):
+        draws = derive_draws(seed, (ROUND_STREAM,), rounds, n)
+        assert draws.shape == (len(rounds), n)
+        assert ((draws >= 0.0) & (draws < 1.0)).all()
+        assert np.array_equal(draws[0], derive_rng(seed, ROUND_STREAM).random(n))
     assert derive_draws(3, (11,), [], 4).shape == (0, 4)
 
 
-@pytest.mark.parametrize("bad", [2**32, 2**40, -1])
-def test_derive_draws_rejects_round_indices_outside_32_bits(bad):
-    with pytest.raises(ContractError):
-        derive_draws(0, (ROUND_STREAM,), [0, bad], 3)
+# ---------------------------------------------------------------------------
+# the batched kernels against their scalar references
 
 
 def _scripted_rounds(y, draws):
@@ -214,7 +242,10 @@ def test_faircg_rounds_across_a_block_boundary_like_the_scalar_loop():
     cfg = parse_config(demo_config(policy="faircg1", horizon=horizon, master_seed=5))
     result = execute_run(cfg)
     y = result.greedy.y1
+    shift = derive_rng(5, ROUND_STREAM).random(cfg.n)
+    alpha = kronecker_alpha(cfg.n)
     expected = np.zeros((horizon, cfg.n), dtype=bool)
     for t in range(horizon):
-        expected[t, list(dep_round(y, derive_rng(5, ROUND_STREAM, t)))] = True
+        row = np.mod(shift + t * alpha, 1.0)
+        expected[t, list(dep_round(y, _ScriptedRng(row)))] = True
     assert np.array_equal(result.trace.selected, expected)
