@@ -84,10 +84,8 @@ def _drive(pool, evaluator, step_count, variant):
     clamp_excess = 0.0
     warned = False
     for step in range(steps):
-        w, value_before = evaluator.weights(
-            FractionalPoint(y), stream=step, with_value=True
-        )
-        x = maximize_linear(pool, w).coords
+        w, value_before = evaluator.weights(y, stream=step)
+        x = maximize_linear(pool, w)
         rate = x if variant == "faircg1" else x - r
         y = y + dt * rate
         overshoot = float(y.max()) - 1.0

@@ -12,17 +12,17 @@ rows, chunk c of stream s from derive_rng(seed, _MC_STREAM, s, c), and summed
 in chunk order, so a given (seed, samples, stream) is bit-reproducible.
 
 Marginal weights are w_u = F(y with y_u forced to 1) - F(y) = (1 - y_u) dF/dy_u.
-Exact mode gets all n of them in O(2^n) by a reverse-mode contraction of the
-table: a forward pass contracts one worker's bit at a time with
-(1 - y_u, y_u), keeping each partial table, and a backward pass dots each
-partial table's difference along worker u's bit with the Kronecker product of
-the remaining (1 - y_v, y_v). Both sides of that difference are the same sums
-in the same order, so for a monotone utility no weight rounds below zero, and
-a weight is exactly 0.0 where y_u = 1. F(y) itself still comes from the one
-weighted sum over the table. The Monte Carlo forced and baseline evaluations
-share the same sampled sets (common random numbers), which makes every
-per-sample difference non-negative for a monotone utility, cuts the variance
-sharply, and re-queries only the rows whose set changes.
+Exact mode has one O(2^n) kernel, a reverse-mode contraction of the table: a
+forward pass contracts one worker's bit at a time with (1 - y_u, y_u),
+keeping each partial table, and its last partial is F(y). For the weights a
+backward pass dots each partial table's difference along worker u's bit with
+the Kronecker product of the remaining (1 - y_v, y_v). Both sides of that
+difference are the same sums in the same order, so for a monotone utility no
+weight rounds below zero, and a weight is exactly 0.0 where y_u = 1. The
+Monte Carlo forced and baseline evaluations share the same sampled sets
+(common random numbers), which makes every per-sample difference
+non-negative for a monotone utility, cuts the variance sharply, and
+re-queries only the rows whose set changes.
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ class ExtensionEvaluator:
     """Binds an oracle to estimator settings; caches the exact subset table.
 
     In exact mode the 2^n utility table is built once (2^n queries) and every
-    later evaluation is a weighted sum over it, so one evaluator shared by a
+    later evaluation is one contraction of it, so one evaluator shared by a
     whole run pays for the table once.
     """
 
@@ -86,7 +86,6 @@ class ExtensionEvaluator:
                 f"exact extension is capped at n={EXACT_LIMIT}, got n={oracle.n}; "
                 "use the monte_carlo mode"
             )
-        self._masks: np.ndarray | None = None
         self._table: np.ndarray | None = None
 
     def value(self, y, stream: int = 0) -> float:
@@ -100,21 +99,19 @@ class ExtensionEvaluator:
         """
         coords = self._point(y).coords
         if self.mode == "exact":
-            return self._value_exact(coords), 0.0
+            return float(self._contract(coords)[-1][0]), 0.0
         return self._value_mc(coords, stream)
 
-    def weights(self, y, stream: int = 0, with_value: bool = False):
-        """Weight vector w with w_u = F(y forced at u) - F(y).
+    def weights(self, y, stream: int = 0) -> tuple[np.ndarray, float]:
+        """(w, F(y)), with w_u = F(y forced at u) - F(y).
 
-        With ``with_value`` the baseline F(y) is returned too, so callers
-        auditing per-step bounds do not pay for a second evaluation.
+        Both modes compute the baseline F(y) on the way to the weights, so it
+        comes with them at no extra cost.
         """
         coords = self._point(y).coords
         if self.mode == "exact":
-            w, base = self._weights_exact(coords)
-        else:
-            w, base = self._weights_mc(coords, stream)
-        return (w, base) if with_value else w
+            return self._weights_exact(coords)
+        return self._weights_mc(coords, stream)
 
     def _point(self, y) -> FractionalPoint:
         point = FractionalPoint.coerce(y)
@@ -124,26 +121,21 @@ class ExtensionEvaluator:
             )
         return point
 
-    def _exact_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def _contract(self, coords: np.ndarray) -> list[np.ndarray]:
+        """The forward pass: partials[u] is the table with workers 0..u-1
+        contracted away, so partials[n] holds F(y) alone. A row index is a
+        bitmask, so worker u's bit is the last axis of partials[u]."""
         if self._table is None:
-            self._masks = all_subset_masks(self.oracle.n)
-            self._table = self.oracle.evaluate_many(self._masks)
-        return self._masks, self._table
-
-    def _value_exact(self, coords: np.ndarray) -> float:
-        masks, table = self._exact_table()
-        probs = np.prod(np.where(masks, coords, 1.0 - coords), axis=1)
-        return float(probs @ table)
-
-    def _weights_exact(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
-        _, table = self._exact_table()
-        n = coords.size
-        # forward: partials[u] is the table with workers 0..u-1 contracted
-        # away; a row index is a bitmask, so worker u's bit is the last axis
-        partials = [table]
-        for y in coords[:-1]:
+            self._table = self.oracle.evaluate_many(all_subset_masks(self.oracle.n))
+        partials = [self._table]
+        for y in coords:
             pairs = partials[-1].reshape(-1, 2)
             partials.append(pairs[:, 0] * (1.0 - y) + pairs[:, 1] * y)
+        return partials
+
+    def _weights_exact(self, coords: np.ndarray) -> tuple[np.ndarray, float]:
+        partials = self._contract(coords)
+        n = coords.size
         # backward: tail is the Kronecker product of (1 - y_v, y_v) over v > u
         grad = np.empty(n)
         tail = np.ones(1)
@@ -152,7 +144,7 @@ class ExtensionEvaluator:
             grad[u] = (pairs[:, 1] - pairs[:, 0]) @ tail
             if u:
                 tail = np.outer(tail, (1.0 - coords[u], coords[u])).ravel()
-        return (1.0 - coords) * grad, self._value_exact(coords)
+        return (1.0 - coords) * grad, float(partials[-1][0])
 
     def _sampled_sets(self, coords: np.ndarray, stream: int) -> Iterator[np.ndarray]:
         """Each chunk's sampled sets as a (rows, n) bool matrix, in chunk order."""

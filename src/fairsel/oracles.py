@@ -48,7 +48,8 @@ class WorkerPool:
         r = np.array(self.fairness, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"fairness vector has shape {r.shape}, expected ({self.n},)")
-        if r.min() < 0.0 or r.max() > 1.0:
+        # written so that a NaN fails the check too
+        if not ((r >= 0.0) & (r <= 1.0)).all():
             raise ValueError("fairness floors must lie in [0, 1]")
         r.flags.writeable = False
         object.__setattr__(self, "fairness", r)
@@ -58,8 +59,8 @@ class WorkerPool:
                 raise ValueError(
                     f"sample_counts has shape {counts.shape}, expected ({self.n},)"
                 )
-            if counts.min() <= 0.0:
-                raise ValueError("sample counts must be positive")
+            if not ((counts > 0.0) & (counts < np.inf)).all():
+                raise ValueError("sample counts must be positive and finite")
             counts.flags.writeable = False
             object.__setattr__(self, "sample_counts", counts)
 
@@ -158,14 +159,14 @@ class AccuracyOracle(UtilityOracle):
     ):
         counts = np.asarray(sample_counts, dtype=float)
         super().__init__(counts.size)
-        if counts.min() <= 0.0:
-            raise ValueError("sample counts must be positive")
+        if not ((counts > 0.0) & (counts < np.inf)).all():
+            raise ValueError("sample counts must be positive and finite")
         if not 0.0 <= min_error < 1.0:
             raise ValueError(f"min_error must lie in [0, 1), got {min_error}")
-        if scale < 0.0:
-            raise ValueError(f"scale must be non-negative, got {scale}")
-        if exponent >= 0.0:
-            raise ValueError(f"exponent must be negative, got {exponent}")
+        if not 0.0 <= scale < np.inf:
+            raise ValueError(f"scale must be non-negative and finite, got {scale}")
+        if not -np.inf < exponent < 0.0:
+            raise ValueError(f"exponent must be negative and finite, got {exponent}")
         self.sample_counts = counts
         self.min_error = float(min_error)
         self.scale = float(scale)
@@ -200,8 +201,8 @@ class CoverageOracle(UtilityOracle):
         weights = np.asarray(item_weights, dtype=float)
         if weights.ndim != 1:
             raise ValueError("item_weights must be a vector")
-        if weights.size and weights.min() < 0.0:
-            raise ValueError("item weights must be non-negative")
+        if not ((weights >= 0.0) & (weights < np.inf)).all():
+            raise ValueError("item weights must be non-negative and finite")
         if len(covers) != n:
             raise ValueError(f"covers must list items for each of the {n} workers")
         incidence = np.zeros((n, weights.size), dtype=bool)
@@ -225,8 +226,8 @@ class ModularOracle(UtilityOracle):
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
         super().__init__(w.size)
-        if w.min() < 0.0:
-            raise ValueError("modular weights must be non-negative")
+        if not ((w >= 0.0) & (w < np.inf)).all():
+            raise ValueError("modular weights must be non-negative and finite")
         self.weights = w
 
     def _values(self, masks: np.ndarray) -> np.ndarray:

@@ -12,21 +12,22 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ContractError, FractionalPoint, as_vector
+from .core import ContractError, as_vector
 from .oracles import SUM_TOL, WorkerPool
 
 
-def maximize_linear(pool: WorkerPool, weights: Iterable[float]) -> FractionalPoint:
+def maximize_linear(pool: WorkerPool, weights: Iterable[float]) -> np.ndarray:
     """argmax_{x in P} w.x for non-negative w, by water filling.
 
     Ties in the weights are broken toward the smaller worker id, so the
-    output is deterministic. The returned point always sums to exactly k
-    (it is a vertex of P with the budget tight).
+    output is deterministic. The returned vector is the water-filled point
+    as computed, with no snapping, so every coordinate stays within
+    [r_u, 1]; it sums to k (a vertex of P with the budget tight).
     """
     pool.require_feasible()
     w = as_vector(weights, pool.n, "weight")
-    if w.min() < 0.0:
-        raise ContractError("weights must be non-negative")
+    if not ((w >= 0.0) & (w < np.inf)).all():
+        raise ContractError("weights must be non-negative and finite")
 
     x = pool.fairness.copy()
     budget = float(pool.k) - float(x.sum())
@@ -46,7 +47,6 @@ def maximize_linear(pool: WorkerPool, weights: Iterable[float]) -> FractionalPoi
     drift = float(pool.k) - float(x.sum())
     if abs(drift) > SUM_TOL and last is not None:
         x[last] = min(max(x[last] + drift, pool.fairness[last]), 1.0)
-    point = FractionalPoint(x)
-    if abs(point.sum() - pool.k) > 1e-9:
+    if abs(float(x.sum()) - pool.k) > 1e-9:
         raise ContractError("water filling missed the budget")
-    return point
+    return x

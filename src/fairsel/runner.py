@@ -31,7 +31,7 @@ from .config import RunConfig
 # derive_rng and dep_round stay bound here although execute_run rounds through
 # derive_draws and dep_round_many: perfbench/tracer.py wraps them, with
 # fairdg_round, as attributes of this module and needs them to exist
-from .core import FractionalPoint, derive_draws, derive_rng, format_float  # noqa: F401
+from .core import derive_draws, derive_rng, format_float  # noqa: F401
 from .discrete import DebtLedger, dg_round, fairdg_round, round_robin_policy
 from .rounding import dep_round, dep_round_many  # noqa: F401
 from .greedy import ContinuousGreedyResult, GreedyStep, faircg1_fractional, faircg2_fractional
@@ -112,7 +112,7 @@ def execute_run(config: RunConfig) -> RunResult:
 
     certificates: BoundCertificates | None = None
     if lp_solution is not None:
-        f_of_r = evaluator.value(FractionalPoint(pool.fairness))
+        f_of_r = evaluator.value(pool.fairness)
         certificates = bound_certificates(
             pool, evaluator, greedy_result.y1, lp_solution.u_opt, f_of_r
         )

@@ -218,7 +218,7 @@ def test_criterion_08_equivalence_suites(accept_runs, certificate_instances):
         if trial % 4 == 0:
             w = np.round(w, 1)
         pool = WorkerPool(n=n, k=k, fairness=r)
-        mine = float(w @ maximize_linear(pool, w).coords)
+        mine = float(w @ maximize_linear(pool, w))
         worst_a = max(worst_a, abs(mine - water_fill_brute(r, k, w)))
     pass_a = worst_a <= 1e-9
 

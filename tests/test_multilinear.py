@@ -8,11 +8,12 @@ from fairsel import (
     SizeLimitError,
     ExtensionEstimator,
     ExtensionEvaluator,
+    FractionalPoint,
     WorkerPool,
     faircg2_fractional,
 )
 
-from conftest import ORACLE_KINDS, make_random_oracle
+from conftest import ORACLE_KINDS, exact_mean_sigma, make_random_oracle
 
 EXACT = ExtensionEstimator(mode="exact")
 
@@ -34,8 +35,9 @@ def test_exact_two_worker_example(two_worker):
 
 
 def test_exact_weights_two_worker_example(two_worker):
-    w = ExtensionEvaluator(two_worker).weights((0.5, 0.5))
+    w, value = ExtensionEvaluator(two_worker).weights((0.5, 0.5))
     assert w == pytest.approx([0.375, 0.375], abs=1e-12)
+    assert value == pytest.approx(0.875, abs=1e-12)
 
 
 def test_extension_at_corners(demo):
@@ -86,9 +88,11 @@ def test_exact_weights_match_forced_differences(seed, kind, y):
     y = np.array(y)
     oracle = make_random_oracle(np.random.default_rng(seed), y.size, kind=kind)
     evaluator = ExtensionEvaluator(oracle, EXACT)
-    w = evaluator.weights(y)
+    w, value = evaluator.weights(y)
     scale = max(1.0, oracle.evaluate(range(y.size)))
     assert np.abs(w - _forced_differences(evaluator, y)).max() <= 1e-12 * scale
+    # the same forward pass gives both, so the baseline matches F(y) bit for bit
+    assert value == evaluator.value(y)
     # the raw kernel output, with nothing clipped: never negative, and
     # exactly zero where the worker is in every set the extension averages
     assert (w >= 0.0).all()
@@ -104,29 +108,52 @@ def test_exact_weights_at_the_exact_cap(kind):
     saturated = rng.uniform(0.0, 1.0, 15)
     saturated[::4] = 1.0
     for y in (np.zeros(15), np.full(15, 0.5), rng.uniform(0.0, 1.0, 15), saturated):
-        w = evaluator.weights(y)
+        w, value = evaluator.weights(y)
         assert np.abs(w - _forced_differences(evaluator, y)).max() <= 1e-12 * scale
         assert (w >= 0.0).all()
         assert (w[y == 1.0] == 0.0).all()
+        assert value == evaluator.value(y)
+        assert abs(value - exact_mean_sigma(oracle, y)[0]) <= 1e-12 * scale
 
 
 def test_exact_weights_take_one_table_pass_per_call(monkeypatch):
-    # one baseline pass over the 2^n table per weights call; a kernel that
-    # re-evaluates F at each forced point would make n + 1 of them
+    # one contraction of the 2^n table per weights call and per value call;
+    # a kernel that re-evaluates F at each forced point would make n + 1
     calls = []
-    value_exact = ExtensionEvaluator._value_exact
+    contract = ExtensionEvaluator._contract
 
     def spy(self, coords):
         calls.append(coords)
-        return value_exact(self, coords)
+        return contract(self, coords)
 
-    monkeypatch.setattr(ExtensionEvaluator, "_value_exact", spy)
+    monkeypatch.setattr(ExtensionEvaluator, "_contract", spy)
     rng = np.random.default_rng(4)
     evaluator = ExtensionEvaluator(make_random_oracle(rng, 9), EXACT)
     points = [np.zeros(9), np.full(9, 0.5), rng.uniform(0.0, 1.0, 9)]
     for y in points:
         evaluator.weights(y)
     assert len(calls) == len(points)
+    for y in points:
+        evaluator.value(y)
+    assert len(calls) == 2 * len(points)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(ORACLE_KINDS),
+    y=st.lists(EXACT_COORDINATES, min_size=1, max_size=10),
+)
+def test_exact_value_matches_the_weighted_table_sum(seed, kind, y):
+    # exact_mean_sigma weights each of the 2^n rows by its own product of
+    # probabilities and shares no code with the contraction; it is taken at
+    # the point the evaluator sees, whose coordinates within SNAP_EPS of 0
+    # or 1 are snapped onto the bound
+    oracle = make_random_oracle(np.random.default_rng(seed), len(y), kind=kind)
+    evaluator = ExtensionEvaluator(oracle, EXACT)
+    scale = max(1.0, oracle.evaluate(range(len(y))))
+    reference, _ = exact_mean_sigma(oracle, FractionalPoint(y).coords)
+    assert abs(evaluator.value(y) - reference) <= 1e-12 * scale
 
 
 def test_coverage_weights_never_round_below_zero():
@@ -135,7 +162,7 @@ def test_coverage_weights_never_round_below_zero():
     # and water filling then rejected the weight vector mid-run
     oracle = CoverageOracle(3, [0.1, 0.2, 0.3, 0.7], [(0, 1, 2), (1,), (3,)])
     evaluator = ExtensionEvaluator(oracle, EXACT)
-    w = evaluator.weights((1.0, 0.1, 0.15))
+    w = evaluator.weights((1.0, 0.1, 0.15))[0]
     assert w[0] == 0.0 and w[1] == 0.0
     assert w[2] == pytest.approx(0.7 * 0.85, abs=1e-15)
     pool = WorkerPool(3, 2, fairness=[1.0, 0.1, 0.15])
@@ -145,13 +172,13 @@ def test_coverage_weights_never_round_below_zero():
 
 def test_weight_is_zero_at_saturated_coordinate():
     oracle = ModularOracle([0.3, 0.9])
-    w = ExtensionEvaluator(oracle).weights((1.0, 0.5))
+    w = ExtensionEvaluator(oracle).weights((1.0, 0.5))[0]
     assert w[0] == 0.0
 
 
 def test_modular_weights_at_origin_equal_the_weights():
     m = np.array([0.2, 0.7, 0.1, 0.4])
-    w = ExtensionEvaluator(ModularOracle(m)).weights(np.zeros(4))
+    w = ExtensionEvaluator(ModularOracle(m)).weights(np.zeros(4))[0]
     assert w == pytest.approx(m, abs=1e-12)
 
 
@@ -191,8 +218,8 @@ def test_mc_weights_with_crn_are_nonnegative_and_accurate():
     rng = np.random.default_rng(21)
     oracle = make_random_oracle(rng, 9)
     y = rng.uniform(0.1, 0.9, 9)
-    exact_w = ExtensionEvaluator(oracle, EXACT).weights(y)
-    w = ExtensionEvaluator(oracle, mc(40_000, seed=1)).weights(y)
+    exact_w = ExtensionEvaluator(oracle, EXACT).weights(y)[0]
+    w = ExtensionEvaluator(oracle, mc(40_000, seed=1)).weights(y)[0]
     assert (w >= 0.0).all()
     assert np.abs(w - exact_w).max() < 0.02
 
@@ -219,11 +246,13 @@ def test_sampled_extension_and_crn_weights_on_random_oracles(seed, kind, y):
     # submodular f with f(empty) = 0, so every CRN average does too; by
     # Hoeffding, 2000 such samples miss the exact weight by 0.1 f({u}) with
     # probability below 1e-16
-    w = evaluator.weights(y)
+    w, base = evaluator.weights(y)
+    # the baseline shares its sampled sets with value_with_stderr's estimate
+    assert base == value
     singletons = np.array([oracle.evaluate({u}) for u in range(len(y))])
     assert (w >= 0.0).all()
     assert (w <= singletons + 1e-12).all()
-    assert (np.abs(w - exact.weights(y)) <= 0.1 * singletons + 1e-12).all()
+    assert (np.abs(w - exact.weights(y)[0]) <= 0.1 * singletons + 1e-12).all()
 
 
 def test_crn_weights_cost_less_than_a_pass_per_point():

@@ -15,6 +15,7 @@ from fairsel import (
     WorkerPool,
     check_submodular_monotone,
     marginal_gain,
+    maximize_linear,
 )
 from fairsel.oracles import EVAL_BLOCK, all_subset_masks
 
@@ -225,6 +226,44 @@ def test_worker_pool_validation_and_feasibility():
         WorkerPool(n=2, k=1, fairness=np.zeros(3))
     with pytest.raises(ValueError):
         WorkerPool(n=2, k=1, fairness=np.zeros(2), sample_counts=np.array([1.0, 0.0]))
+
+
+NAN = float("nan")
+INF = float("inf")
+ZERO_FLOOR_POOL = WorkerPool(n=2, k=1, fairness=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WorkerPool(n=2, k=1, fairness=[NAN, 0.5]),
+        lambda: WorkerPool(n=2, k=1, fairness=[0.5, 0.5], sample_counts=[NAN, 1.0]),
+        lambda: WorkerPool(n=2, k=1, fairness=[0.5, 0.5], sample_counts=[INF, 1.0]),
+        lambda: AccuracyOracle([100.0, NAN]),
+        lambda: AccuracyOracle([100.0, INF]),
+        lambda: AccuracyOracle([100.0, 200.0], scale=NAN),
+        lambda: AccuracyOracle([100.0, 200.0], scale=INF),
+        lambda: AccuracyOracle([100.0, 200.0], exponent=NAN),
+        lambda: AccuracyOracle([100.0, 200.0], exponent=-INF),
+        lambda: ModularOracle([0.5, NAN]),
+        lambda: ModularOracle([0.5, INF]),
+        lambda: CoverageOracle(2, [0.5, NAN], [(0,), (1,)]),
+        lambda: CoverageOracle(2, [0.5, INF], [(0,), (1,)]),
+        lambda: maximize_linear(ZERO_FLOOR_POOL, [NAN, 1.0]),
+        lambda: maximize_linear(ZERO_FLOOR_POOL, [INF, 1.0]),
+    ],
+    ids=[
+        "floors-nan", "pool-counts-nan", "pool-counts-inf",
+        "accuracy-counts-nan", "accuracy-counts-inf", "scale-nan", "scale-inf",
+        "exponent-nan", "exponent-neg-inf", "modular-nan", "modular-inf",
+        "coverage-nan", "coverage-inf", "linear-weights-nan", "linear-weights-inf",
+    ],
+)
+def test_constructors_reject_nan_and_infinite_numbers(build):
+    # a NaN compares false with everything, so a check written as
+    # "x < lo or x > hi" lets it through; each of these must raise instead
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_worker_pool_arrays_are_frozen(demo):

@@ -14,16 +14,16 @@ from fairsel.cli import main
 from fairsel.presets import demo_config
 
 PINNED_CSV_SHA256 = {
-    "run-faircg1/bounds.csv": "f8a000d3f1b03838b7548036b57bb1aadf9b68ff5ee57339c6bc692f6d5dc35a",
+    "run-faircg1/bounds.csv": "c1a53c157793f277c4d60e744c399899f59fce567b1e94d252eef4e49e970b15",
     "run-faircg1/convergence.csv": "03f71d723230b06932c0c12a4abae310b736855be9ef1320c6d44cb04f43d918",
     "run-faircg1/fractions.csv": "7546695a853a0c814910e5f0ec27db865c4bc3110deeb469ea88cc51f71803a1",
     "run-faircg1/rounds.csv": "904434c508249f59ad038eed629a511f908d476672dd5b0c30735c3d525ba1cb",
-    "run-faircg1/steps.csv": "19be46cfd4e4413c3843128f6ea862ccc58d80546c9c9e5242e2ade9a5ac2aa4",
+    "run-faircg1/steps.csv": "7f0abf80e3455f481e5cfae12daaf5e686fdc303fb71e708bcc3bee431f34660",
     "run-faircg2/bounds.csv": "5864aa25864b26c04c2889801173ba921fbdf531e10c4f1a8f1dceb1841d3434",
     "run-faircg2/convergence.csv": "7e61e698aaf475aab5b80cc976f77d2721b3c7ba5d7d2d633bf02c238cae7b8a",
     "run-faircg2/fractions.csv": "10ffc0955c9779b8459ad591722877fd927eef22170db63234cdb93c3a5ba67b",
     "run-faircg2/rounds.csv": "860be1e74f19d305957f6222b573ee29867318ab3d05781efa58092f922b9700",
-    "run-faircg2/steps.csv": "7a03b19efe19fb96a3669fddf55b0cba5172c552149753411e3570f24bca2823",
+    "run-faircg2/steps.csv": "f4baf08c01a5fe4e4eeba470e72eb2a6b1de12ea0d8239a1039d4bbbf739bee0",
     "run-faircg1-mc/bounds.csv": "973f01b7e5819100bfd8d78ad4afb0e1575fda58d9f9d4d877f94bd689ed8308",
     "run-faircg1-mc/convergence.csv": "9a490120e15171dd93bfb5d6a91604edaf6f76da9ba6127fa0002dbfaf783528",
     "run-faircg1-mc/fractions.csv": "1c8b4956c88a362cb9ea02aeca796e5cadc3b1b33e81e1c3db5c624a7b4bf35e",
@@ -43,7 +43,7 @@ PINNED_CSV_SHA256 = {
     "run-roundrobin/convergence.csv": "9dd3ee84919f242c338a0963f1c1c26a5a64f25e304d4d034ee5487bbdfe5172",
     "run-roundrobin/fractions.csv": "867700c040534b7353bac723066fb32b126da2e1eda30a10521d626f8616aed2",
     "run-roundrobin/rounds.csv": "ab4e89d8a724a5509c58b110917ecd66719ab6596f5cce366701e6f6debc9205",
-    "sweep/sweep.csv": "113c665faae9576cc76240a68b3ed9fd48e7274af40e01436fbad9e7dedf7f1e",
+    "sweep/sweep.csv": "927b8f7a3a7ec57bc2a7e29409c77efa88f36becda7ac7342a1c6d3cb270b7e8",
     "opt/support.csv": "17a5eb183fe741d2bd4bee9ad0cd859d119733efd86904f62a36d0f44e43c564",
 }
 

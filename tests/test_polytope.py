@@ -22,24 +22,24 @@ def test_feasibility_examples():
 def test_water_filling_hand_example():
     pool = _pool(np.array([0.2, 0.2, 0.2]), k=2)
     x = maximize_linear(pool, [3.0, 1.0, 2.0])
-    assert x.coords == pytest.approx([1.0, 0.2, 0.8], abs=1e-9)
+    assert x == pytest.approx([1.0, 0.2, 0.8], abs=1e-9)
 
 
 def test_water_filling_top_k_at_zero_floors():
     pool = _pool(np.zeros(3), k=2)
     x = maximize_linear(pool, [5.0, 1.0, 3.0])
-    assert x.coords == pytest.approx([1.0, 0.0, 1.0], abs=0)
+    assert x == pytest.approx([1.0, 0.0, 1.0], abs=0)
 
 
 def test_water_filling_singleton_polytope():
     r = np.array([0.5, 0.5, 1.0])
     x = maximize_linear(_pool(r, k=2), [9.0, 1.0, 5.0])
-    assert x.coords == pytest.approx(r, abs=1e-12)
+    assert x == pytest.approx(r, abs=1e-12)
 
 
 def test_water_filling_tie_breaks_toward_lower_id():
     x = maximize_linear(_pool(np.zeros(3), k=1), [1.0, 1.0, 1.0])
-    assert x.coords.tolist() == [1.0, 0.0, 0.0]
+    assert x.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_water_filling_output_always_sums_to_budget():
@@ -50,7 +50,7 @@ def test_water_filling_output_always_sums_to_budget():
         r = make_random_floors(rng, n, k)
         x = maximize_linear(_pool(r, k), rng.uniform(0.0, 3.0, n))
         assert abs(x.sum() - k) <= 1e-9
-        assert (x.coords >= r - 1e-9).all()
+        assert (x >= r - 1e-9).all()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -66,17 +66,34 @@ def test_water_filling_matches_vertex_enumeration(data, n, load):
     # 0.5 among the fixed values makes ties in the weights
     unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
     raw = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="raw"))
-    r = raw * (load * k / raw.sum()) if raw.sum() > 0.0 else raw
+    # dividing first keeps a subnormal sum from overflowing the scale to inf
+    r = raw / raw.sum() * (load * k) if raw.sum() > 0.0 else raw
     pool = _pool(np.minimum(r, 1.0), k)
     assume(pool.is_feasible())
-    # FractionalPoint snaps a coordinate within 1e-9 (SNAP_EPS) of 0 or 1
-    # onto it, which would move w.x by more than the tolerance checked here
     r = pool.fairness
-    assume(((r == 0.0) | (r == 1.0) | ((r > 1e-6) & (r < 1.0 - 1e-6))).all())
     w = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="w"))
-    x = maximize_linear(pool, w).coords
+    x = maximize_linear(pool, w)
     assert (x >= r).all() and (x <= 1.0).all()
     assert float(w @ x) == pytest.approx(water_fill_brute(r, k, w), abs=1e-12)
+
+
+def test_water_filling_keeps_a_floor_within_snapping_distance_of_zero():
+    # a FractionalPoint would snap the tiny floor to 0, below the floor
+    r = np.array([1.0, 1.4e-237])
+    x = maximize_linear(_pool(r, k=1), [1.0, 1.0])
+    assert (x >= r).all()
+    assert x.tolist() == [1.0, 1.4e-237]
+
+
+def test_water_filling_reaches_a_vertex_within_snapping_distance_of_one():
+    # the best vertex puts the leftover 1e-12 on worker 2; snapping
+    # 1 - 1e-12 to 1 and 1e-12 to 0 would leave w.x = 0
+    r = np.array([0.0, 1.0 - 1e-12, 1e-12])
+    w = np.array([0.0, 0.0, 1.0])
+    x = maximize_linear(_pool(r, k=1), w)
+    assert (x >= r).all()
+    assert float(w @ x) == water_fill_brute(r, 1, w)
+    assert float(w @ x) >= 1e-12
 
 
 def test_water_filling_errors():
