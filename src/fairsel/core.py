@@ -1,4 +1,8 @@
-"""Shared primitives: errors, validated fractional points, RNG stream derivation.
+"""Shared primitives: errors, checked vectors, RNG stream derivation.
+
+``as_vector`` and ``unit_vector`` check a caller's vector (its length, and
+for points its place in the unit box) and hand it on unmoved: no layer but
+``rounding`` snaps a coordinate onto 0 or 1.
 
 Everything downstream that draws randomness derives an independent generator
 from a master seed plus an integer path (stream tag, index, ...). Identical
@@ -13,9 +17,6 @@ import math
 from typing import Iterable
 
 import numpy as np
-
-# coordinates this close to an integer bound are treated as exactly 0 or 1
-SNAP_EPS = 1e-9
 
 
 class FeasibilityError(ValueError):
@@ -33,66 +34,38 @@ class ContractError(ValueError):
 def as_vector(values: Iterable[float], n: int, name: str) -> np.ndarray:
     """``values`` as a float vector of length n; a ValueError naming ``name``
     if it has any other shape (no broadcasting of a short vector)."""
-    v = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    v = np.asarray(values if hasattr(values, "__array__") else list(values), dtype=float)
     if v.shape != (n,):
         raise ValueError(f"{name} vector has shape {v.shape}, expected ({n},)")
     return v
 
 
-class FractionalPoint:
-    """A vector in the unit box [0, 1]^n.
+def unit_vector(values: Iterable[float], n: int, name: str) -> np.ndarray:
+    """``as_vector``, checked to lie in the unit box [0, 1]^n and returned as
+    given: a ContractError names the first coordinate that is NaN, infinite
+    or outside [0, 1]. Nothing is snapped or clipped."""
+    v = as_vector(values, n, name)
+    outside = ~((v >= 0.0) & (v <= 1.0))
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ContractError(f"{name} coordinate {bad} = {float(v[bad])!r} outside [0, 1]")
+    return v
 
-    Coordinates within ``SNAP_EPS`` of 0 or 1 are snapped to the exact bound
-    so downstream integrality tests stay stable; anything further outside the
-    box is rejected. Instances are immutable.
-    """
+
+class FractionalPoint:
+    """The continuous-greedy point y1: a read-only copy of a vector in
+    [0, 1]^n, checked by ``unit_vector`` and kept exactly as computed.
+    ``np.asarray(point)`` gives the coordinates."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[float]):
         arr = np.array(coords, dtype=float)
-        if arr.ndim != 1:
-            raise ContractError(f"expected a 1-d vector, got shape {arr.shape}")
-        arr[np.abs(arr) <= SNAP_EPS] = 0.0
-        arr[np.abs(arr - 1.0) <= SNAP_EPS] = 1.0
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0 or not np.isfinite(arr).all()):
-            bad = int(np.argmax((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)))
-            raise ContractError(f"coordinate {bad} = {arr[bad]!r} outside [0, 1]")
-        arr.flags.writeable = False
-        self.coords = arr
+        self.coords = unit_vector(arr, arr.size, "point")
+        self.coords.flags.writeable = False
 
-    @classmethod
-    def coerce(cls, y: "FractionalPoint | Iterable[float]") -> "FractionalPoint":
-        return y if isinstance(y, FractionalPoint) else cls(y)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size
-
-    def sum(self) -> float:
-        return float(self.coords.sum())
-
-    def __getitem__(self, u: int) -> float:
-        return float(self.coords[u])
-
-    def __len__(self) -> int:
-        return self.coords.size
-
-    def __iter__(self):
-        return iter(self.coords.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FractionalPoint):
-            return NotImplemented
-        return self.coords.shape == other.coords.shape and bool(
-            np.array_equal(self.coords, other.coords)
-        )
-
-    def __hash__(self):
-        return hash(self.coords.tobytes())
-
-    def __repr__(self) -> str:
-        return f"FractionalPoint({self.coords.tolist()!r})"
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.coords, dtype=dtype, copy=copy)
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:

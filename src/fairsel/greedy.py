@@ -103,8 +103,7 @@ def _drive(pool, evaluator, step_count, variant):
         values.append(value_before)
         gains.append(float(x @ w))
 
-    y1 = FractionalPoint(y)
-    final_value = evaluator.value(y1, stream=steps)
+    final_value = evaluator.value(y, stream=steps)
     records = []
     for idx in range(steps):
         nxt = values[idx + 1] if idx + 1 < steps else final_value
@@ -118,7 +117,7 @@ def _drive(pool, evaluator, step_count, variant):
             )
         )
     return ContinuousGreedyResult(
-        y1=y1,
+        y1=FractionalPoint(y),
         value=final_value,
         variant=variant,
         step_count=steps,

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint, as_vector
+from .core import as_vector
 from .multilinear import ExtensionEvaluator
 from .oracles import WorkerPool
 
@@ -180,12 +180,12 @@ def concession_rate(pool: WorkerPool) -> float:
 def bound_certificates(
     pool: WorkerPool,
     evaluator: ExtensionEvaluator,
-    y1: FractionalPoint | Iterable[float],
+    y1: Iterable[float],
     u_opt: float,
     f_of_r: float,
     tol: float = 1e-3,
 ) -> BoundCertificates:
-    value, sigma = evaluator.value_with_stderr(FractionalPoint.coerce(y1))
+    value, sigma = evaluator.value_with_stderr(y1)
     c_r = concession_rate(pool)
     bound_one = (1.0 - 1.0 / math.e) * u_opt
     decay = math.exp(-c_r)

@@ -4,6 +4,9 @@ F(y) is the expected utility of the random set that includes each worker u
 independently with probability y_u. ``ExtensionEvaluator`` is the one entry
 point: it binds an oracle to an ``ExtensionEstimator`` (mode and sample
 count) and answers F(y), its standard error, and the marginal weights.
+A point is any float vector in [0, 1]^n. ``core.unit_vector`` checks it, and
+it is evaluated where it is: nothing is snapped, so a coordinate of 1e-9
+counts as 1e-9 and one of 1 + 5e-10 is rejected.
 
 Exact evaluation enumerates all 2^n subsets once per evaluator and is what
 mode "auto" picks up to n = EXACT_LIMIT; beyond that a Monte Carlo estimate
@@ -26,12 +29,13 @@ re-queries only the rows whose set changes.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .core import FractionalPoint, SizeLimitError, derive_rng
+from .core import SizeLimitError, derive_rng, unit_vector
 from .oracles import UtilityOracle, all_subset_masks
 
 EXACT_LIMIT = 15
@@ -57,8 +61,11 @@ class ExtensionEstimator:
     def __post_init__(self):
         if self.mode not in ESTIMATOR_MODES:
             raise ValueError(f"unknown estimator mode {self.mode!r}")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be positive")
+        if self.samples is not None:
+            if isinstance(self.samples, bool) or not isinstance(self.samples, numbers.Integral):
+                raise ValueError(f"samples must be an integer, got {self.samples!r}")
+            if self.samples < 1:
+                raise ValueError("samples must be positive")
 
     def resolve_mode(self, n: int) -> str:
         if self.mode == "auto":
@@ -97,7 +104,7 @@ class ExtensionEvaluator:
         ``stream`` separates the draws of repeated calls under one seed
         (continuous-greedy steps pass their step index).
         """
-        coords = self._point(y).coords
+        coords = unit_vector(y, self.oracle.n, "point")
         if self.mode == "exact":
             return float(self._contract(coords)[-1][0]), 0.0
         return self._value_mc(coords, stream)
@@ -108,18 +115,10 @@ class ExtensionEvaluator:
         Both modes compute the baseline F(y) on the way to the weights, so it
         comes with them at no extra cost.
         """
-        coords = self._point(y).coords
+        coords = unit_vector(y, self.oracle.n, "point")
         if self.mode == "exact":
             return self._weights_exact(coords)
         return self._weights_mc(coords, stream)
-
-    def _point(self, y) -> FractionalPoint:
-        point = FractionalPoint.coerce(y)
-        if point.n != self.oracle.n:
-            raise ValueError(
-                f"point has {point.n} coordinates but oracle has {self.oracle.n}"
-            )
-        return point
 
     def _contract(self, coords: np.ndarray) -> list[np.ndarray]:
         """The forward pass: partials[u] is the table with workers 0..u-1

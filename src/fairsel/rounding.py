@@ -5,6 +5,12 @@ probability mass between them so that at least one lands on 0 or 1. Each move
 keeps the coordinate sum exactly fixed and each coordinate's expectation
 unchanged, so the final set has exactly sum(y) elements and contains u with
 probability y_u.
+
+``dep_round_many`` is the one implementation of that pairing chain: it rounds
+one point once per row of draws, all rows in lock-step. ``dep_round`` is its
+one-row case. This module is the only layer that snaps: a coordinate within
+``SNAP_EPS`` of 0 or 1 is set onto that bound, on entry and after every
+pairing, so integrality tests stay exact.
 """
 from __future__ import annotations
 
@@ -12,77 +18,44 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ContractError, FractionalPoint, SNAP_EPS
+from .core import ContractError, unit_vector
+
+# coordinates this close to an integer bound are treated as exactly 0 or 1
+SNAP_EPS = 1e-9
 
 
-def dep_round(
-    y: FractionalPoint | Iterable[float], rng: np.random.Generator
-) -> tuple[int, ...]:
+def dep_round(y: Iterable[float], rng: np.random.Generator) -> tuple[int, ...]:
     """Round y (sum within 1e-9 of an integer) to a set of that exact size.
 
-    Returns the selected ids as an ascending tuple. Takes exactly n uniform
-    draws from ``rng`` (one ``rng.random(n)`` call) and uses at most n - 1.
+    Returns the selected ids as an ascending tuple: one row of
+    ``dep_round_many``, whose draws are exactly one ``rng.random(n)`` call
+    (at most n - 1 of them are used).
     """
-    point, target = _checked_point(y)
-    vals = point.coords.tolist()
-    n = len(vals)
-    draws = rng.random(n)
-    used = 0
-    i = 0
-    while i < n and vals[i] in (0.0, 1.0):
-        i += 1
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] in (0.0, 1.0):
-            j += 1
-        if j == n:
-            raise ContractError("single fractional coordinate left; sum drifted")
-        yi, yj = vals[i], vals[j]
-        a = min(1.0 - yi, yj)
-        b = min(yi, 1.0 - yj)
-        if not (a > 0.0 and b > 0.0):
-            raise ContractError("pairing picked an integral coordinate")
-        if draws[used] * (a + b) < b:
-            yi += a
-            yj -= a
-        else:
-            yi -= b
-            yj += b
-        used += 1
-        vals[i] = _snap(yi)
-        vals[j] = _snap(yj)
-        if vals[i] in (0.0, 1.0):
-            i = j if vals[j] not in (0.0, 1.0) else j + 1
-            while i < n and vals[i] in (0.0, 1.0):
-                i += 1
-        # else: i stays fractional and pairs with the next fractional index
-
-    selected = tuple(u for u, v in enumerate(vals) if v == 1.0)
-    if len(selected) != target:
-        raise ContractError(f"rounded to {len(selected)} elements, expected {target}")
-    return selected
+    coords, _ = _checked_point(y)
+    row = dep_round_many(coords, rng.random(coords.size)[None, :])[0]
+    return tuple(np.flatnonzero(row).tolist())
 
 
-def dep_round_many(
-    y: FractionalPoint | Iterable[float], draws: np.ndarray
-) -> np.ndarray:
-    """``dep_round`` of the same point once per row of ``draws``, in lock-step.
+def dep_round_many(y: Iterable[float], draws: np.ndarray) -> np.ndarray:
+    """Dependent rounding of the same point once per row of ``draws``.
 
-    Row i of the returned (rows, n) boolean matrix is the set that
-    ``dep_round(y, rng)`` selects when ``rng.random(n)`` returns
-    ``draws[i]``. Every row makes the same float operations, snaps and
-    checks as the scalar routine and raises the same ``ContractError``s.
+    ``draws`` is a (rows, n) matrix of uniforms in [0, 1); row i of the
+    returned (rows, n) boolean matrix is the set its draws select. A live
+    row's p-th pairing (p = 0, 1, ...) reads its draw p and goes up on the
+    lower coordinate when draw * (a + b) < b.
     """
-    point, target = _checked_point(y)
-    n = point.n
+    coords, target = _checked_point(y)
+    n = coords.size
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[1] != n:
         raise ContractError(f"draws have shape {draws.shape}, expected (rows, {n})")
-    vals = np.repeat(point.coords[None, :], draws.shape[0], axis=0)
-    # a row's first fractional coordinate is dep_round's i and its second is
-    # j: every pairing leaves the coordinates before its j integral. Each
-    # pairing takes one draw, so a live row makes its step-th pairing with
-    # draw number step
+    if not ((draws >= 0.0) & (draws < 1.0)).all():
+        raise ContractError("draws must lie in [0, 1)")
+    vals = np.repeat(coords[None, :], draws.shape[0], axis=0)
+    # a row's first fractional coordinate is i and its second is j: every
+    # pairing leaves the coordinates before its j integral. Each pairing
+    # takes one draw, so a live row makes its step-th pairing with draw
+    # number step
     for step in range(n):
         frac = (vals != 0.0) & (vals != 1.0)
         live = np.flatnonzero(frac.any(axis=1))
@@ -112,25 +85,23 @@ def dep_round_many(
     return selected
 
 
-def _checked_point(y: FractionalPoint | Iterable[float]) -> tuple[FractionalPoint, int]:
-    """The point (near-integral coords snapped, the box checked) and its
-    integral coordinate sum."""
-    point = FractionalPoint.coerce(y)
-    total = sum(point.coords.tolist())
+def _checked_point(y: Iterable[float]) -> tuple[np.ndarray, int]:
+    """The point with near-integral coordinates snapped, then checked to lie
+    in the unit box, and its integral coordinate sum.
+
+    Snapping comes first, so a coordinate such as 1 + 5e-10 counts as 1.
+    """
+    coords = np.asarray(y, dtype=float)
+    if coords.ndim != 1:
+        raise ContractError(f"expected a 1-d vector, got shape {coords.shape}")
+    coords = unit_vector(_snap_many(coords), coords.size, "point")
+    total = sum(coords.tolist())
     target = round(total)
     if abs(total - target) > 1e-9:
         raise ContractError(f"coordinate sum {total!r} is not within 1e-9 of an integer")
-    return point, target
+    return coords, target
 
 
 def _snap_many(v: np.ndarray) -> np.ndarray:
-    """``_snap`` elementwise."""
+    """Each coordinate within ``SNAP_EPS`` of 0 or 1 set onto that bound."""
     return np.where(np.abs(v) <= SNAP_EPS, 0.0, np.where(np.abs(v - 1.0) <= SNAP_EPS, 1.0, v))
-
-
-def _snap(v: float) -> float:
-    if abs(v) <= SNAP_EPS:
-        return 0.0
-    if abs(v - 1.0) <= SNAP_EPS:
-        return 1.0
-    return v

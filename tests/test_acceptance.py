@@ -180,7 +180,7 @@ def test_criterion_07_rounding_degree_and_marginals(accept_runs):
     # rng.random((rows, n)) is the stream of rows successive rng.random(n)
     # calls, so each block is what that many dep_round(y, rng) calls would draw
     for _ in range(calls // block):
-        selected = dep_round_many(y, rng.random((block, y.n)))
+        selected = dep_round_many(y, rng.random((block, y.coords.size)))
         size_violations += int((selected.sum(axis=1) != k).sum())
         counts += selected.sum(axis=0)
     # two-sided Hoeffding tolerance at failure probability 1e-4 per element

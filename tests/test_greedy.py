@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fairsel import (
+    ContractError,
     ExtensionEstimator,
     ExtensionEvaluator,
     FeasibilityError,
+    FractionalPoint,
     ModularOracle,
     WorkerPool,
     faircg1_fractional,
@@ -43,7 +45,8 @@ def test_variants_coincide_at_zero_floors():
     pool = WorkerPool(n=pool.n, k=pool.k, fairness=np.zeros(pool.n))
     res1 = faircg1_fractional(pool, ExtensionEvaluator(oracle), step_count=30)
     res2 = faircg2_fractional(pool, ExtensionEvaluator(oracle), step_count=30)
-    assert res1.y1 == res2.y1  # identical trajectories, exact equality
+    # identical trajectories, exact equality
+    assert np.array_equal(res1.y1.coords, res2.y1.coords)
 
 
 def test_step_records_and_monotone_trajectory():
@@ -103,7 +106,7 @@ def test_monte_carlo_mode_is_reproducible():
     estimator = ExtensionEstimator(mode="monte_carlo", samples=2000, seed=77)
     res_a = faircg1_fractional(pool, ExtensionEvaluator(oracle, estimator), step_count=8)
     res_b = faircg1_fractional(pool, ExtensionEvaluator(oracle, estimator), step_count=8)
-    assert res_a.y1 == res_b.y1
+    assert np.array_equal(res_a.y1.coords, res_b.y1.coords)
     assert res_a.value == res_b.value
     assert res_a.estimator_mode == "monte_carlo"
 
@@ -123,3 +126,19 @@ def test_single_step_jumps_to_one_vertex():
     oracle = ModularOracle([1.0, 5.0, 2.0])
     res = faircg1_fractional(pool, ExtensionEvaluator(oracle), step_count=1)
     assert res.y1.coords == pytest.approx([0.0, 1.0, 0.0], abs=0)
+
+
+def test_y1_is_a_read_only_copy_of_the_point_as_computed():
+    y = np.array([1e-10, 1.0 - 1e-10, 0.5])
+    point = FractionalPoint(y)
+    y[2] = 0.25
+    # no coordinate is snapped, and the record does not alias its source
+    assert point.coords.tolist() == [1e-10, 1.0 - 1e-10, 0.5]
+    with pytest.raises(ValueError):
+        point.coords[0] = 0.0
+    assert np.array_equal(np.asarray(point), point.coords)
+    for bad in ([0.5, 1.0 + 5e-10], [float("nan")], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            FractionalPoint(bad)
+    with pytest.raises(ContractError, match="coordinate 1 = -0.25 outside"):
+        FractionalPoint([0.5, -0.25])

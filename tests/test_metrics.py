@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fairsel import (
-    FractionalPoint,
     ModularOracle,
     SelectionTrace,
     WorkerPool,
@@ -146,7 +145,7 @@ def test_concession_rate(demo):
 
 def test_bound_certificates_formulas(demo):
     pool, oracle = demo
-    y1 = FractionalPoint(np.minimum(pool.fairness + 0.18, 1.0))
+    y1 = np.minimum(pool.fairness + 0.18, 1.0)
     evaluator = ExtensionEvaluator(oracle)
     cert = bound_certificates(pool, evaluator, y1, u_opt=0.85, f_of_r=0.83, tol=1e-3)
     c_r = concession_rate(pool)
@@ -163,7 +162,7 @@ def test_bound_certificates_formulas(demo):
 def test_bound_certificate_tolerance_boundary():
     pool = WorkerPool(n=3, k=2, fairness=np.zeros(3))
     oracle = ModularOracle([1.0, 1.0, 1.0])
-    y1 = FractionalPoint([1.0, 1.0, 0.0])  # extension value exactly 2
+    y1 = np.array([1.0, 1.0, 0.0])  # extension value exactly 2
     evaluator = ExtensionEvaluator(oracle)
     share = 1 - 1 / math.e
     just_inside = (2.0 + 0.9e-3) / share
@@ -175,7 +174,7 @@ def test_bound_certificate_tolerance_boundary():
 def test_bound_certificates_mc_mode_widens_tolerance():
     pool = WorkerPool(n=3, k=2, fairness=np.zeros(3))
     oracle = ModularOracle([1.0, 1.0, 1.0])
-    y1 = FractionalPoint([0.9, 0.9, 0.2])
+    y1 = np.array([0.9, 0.9, 0.2])
     estimator = ExtensionEstimator(mode="monte_carlo", samples=4000, seed=3)
     evaluator = ExtensionEvaluator(oracle, estimator)
     cert = bound_certificates(pool, evaluator, y1, u_opt=2.0, f_of_r=0.0)
@@ -186,37 +185,37 @@ def test_bound_certificates_mc_mode_widens_tolerance():
 
 
 def test_hoeffding_tail_check():
-    y = FractionalPoint((0.6, 0.4, 0.5, 0.5))
+    y = np.array((0.6, 0.4, 0.5, 0.5))
     horizon, ensemble = 400, 150
     traces = []
     for m in range(ensemble):
         traces.append(SelectionTrace(_rounded_matrix(y, 100, m, horizon), np.zeros(horizon)))
-    report = hoeffding_tail_check(traces, y.coords, delta=0.1)
+    report = hoeffding_tail_check(traces, y, delta=0.1)
     assert report.ok
     assert report.bound == pytest.approx(math.exp(-2 * horizon * 0.01), abs=1e-15)
     assert (report.frequencies <= report.bound + report.statistical_slack).all()
 
 
 def test_hoeffding_preconditions():
-    y = FractionalPoint((0.5, 0.5))
+    y = np.array((0.5, 0.5))
     traces = [SelectionTrace(_rounded_matrix(y, 1, m, 10), np.zeros(10)) for m in range(100)]
     with pytest.raises(ValueError):
-        hoeffding_tail_check(traces[:99], y.coords, delta=0.1)
+        hoeffding_tail_check(traces[:99], y, delta=0.1)
     with pytest.raises(ValueError):
-        hoeffding_tail_check(traces, y.coords, delta=0.0)
+        hoeffding_tail_check(traces, y, delta=0.0)
     short = SelectionTrace(np.tile([True, False], (9, 1)), np.zeros(9))
     with pytest.raises(ValueError):
-        hoeffding_tail_check(traces[:99] + [short], y.coords, delta=0.1)
+        hoeffding_tail_check(traces[:99] + [short], y, delta=0.1)
     wide = SelectionTrace(np.tile([True, False, False], (10, 1)), np.zeros(10))
     with pytest.raises(ValueError, match="worker count"):
-        hoeffding_tail_check(traces[:99] + [wide], y.coords, delta=0.1)
+        hoeffding_tail_check(traces[:99] + [wide], y, delta=0.1)
 
 
 @pytest.mark.parametrize("length", [1, 3])
 def test_fairness_checks_reject_a_floor_vector_of_the_wrong_length(length):
     # a one-element vector must not broadcast to every worker, and a longer
     # one must fail by shape, not inside numpy
-    y = FractionalPoint((0.6, 0.4, 0.5, 0.5))
+    y = np.array((0.6, 0.4, 0.5, 0.5))
     traces = [SelectionTrace(_rounded_matrix(y, 3, m, 20), np.zeros(20)) for m in range(100)]
     floors = [0.4] * length
     wrong_shape = rf"fairness vector has shape \({length},\), expected \(4,\)"

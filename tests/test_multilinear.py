@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairsel import (
+    AccuracyOracle,
+    ContractError,
     CoverageOracle,
     ModularOracle,
     SizeLimitError,
     ExtensionEstimator,
     ExtensionEvaluator,
-    FractionalPoint,
     WorkerPool,
     faircg2_fractional,
 )
@@ -84,6 +85,10 @@ EXACT_COORDINATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     kind=st.sampled_from(ORACLE_KINDS),
     y=st.lists(EXACT_COORDINATES, min_size=1, max_size=10),
 )
+# saturated coordinates, whose weight must come out exactly 0.0
+@example(seed=3, kind="coverage", y=[1.0, 0.3, 1.0, 0.0, 0.6])
+@example(seed=5, kind="accuracy", y=[1.0, 1.0, 1.0])
+@example(seed=7, kind="modular", y=[0.0, 1.0, 5e-324, 1.0 - 2**-53])
 def test_exact_weights_match_forced_differences(seed, kind, y):
     y = np.array(y)
     oracle = make_random_oracle(np.random.default_rng(seed), y.size, kind=kind)
@@ -144,16 +149,33 @@ def test_exact_weights_take_one_table_pass_per_call(monkeypatch):
     kind=st.sampled_from(ORACLE_KINDS),
     y=st.lists(EXACT_COORDINATES, min_size=1, max_size=10),
 )
+# coordinates within SNAP_EPS of a bound, which an evaluator that snapped
+# would move
+@example(seed=1, kind="accuracy", y=[1e-9])
+@example(seed=2, kind="coverage", y=[1.0 - 5e-10, 0.5, 1e-10])
 def test_exact_value_matches_the_weighted_table_sum(seed, kind, y):
     # exact_mean_sigma weights each of the 2^n rows by its own product of
-    # probabilities and shares no code with the contraction; it is taken at
-    # the point the evaluator sees, whose coordinates within SNAP_EPS of 0
-    # or 1 are snapped onto the bound
+    # probabilities and shares no code with the contraction; both are taken
+    # at y itself, since the evaluator moves no coordinate
     oracle = make_random_oracle(np.random.default_rng(seed), len(y), kind=kind)
     evaluator = ExtensionEvaluator(oracle, EXACT)
     scale = max(1.0, oracle.evaluate(range(len(y))))
-    reference, _ = exact_mean_sigma(oracle, FractionalPoint(y).coords)
+    reference, _ = exact_mean_sigma(oracle, y)
     assert abs(evaluator.value(y) - reference) <= 1e-12 * scale
+
+
+def test_exact_value_is_taken_at_the_point_itself():
+    # a coordinate within 1e-9 of a bound is not snapped onto it
+    oracle = AccuracyOracle([100.0])
+    evaluator = ExtensionEvaluator(oracle, EXACT)
+    assert evaluator.value([1e-9]) == 1e-9 * oracle.evaluate({0})
+    assert evaluator.value([1e-9]) > 0.0
+    assert evaluator.value([1.0 - 1e-10]) < oracle.evaluate({0})
+    with pytest.raises(ContractError, match="outside"):
+        evaluator.value([1.0 + 5e-10])
+    for bad in (float("nan"), float("inf"), -1e-300):
+        with pytest.raises(ContractError):
+            evaluator.weights([bad])
 
 
 def test_coverage_weights_never_round_below_zero():
@@ -290,6 +312,11 @@ def test_estimator_validation():
         ExtensionEstimator(mode="bogus")
     with pytest.raises(ValueError):
         ExtensionEstimator(samples=0)
+    # a fractional or boolean count fails here, not mid-run in the sampler
+    for samples in (2.5, 2000.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            ExtensionEstimator(samples=samples)
+    assert ExtensionEstimator(samples=np.int64(500)).sample_count(3) == 500
 
 
 def test_point_dimension_mismatch_rejected():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fairsel import ContractError, FeasibilityError, WorkerPool, maximize_linear
 from fairsel.presets import demo_fairness
@@ -53,32 +53,47 @@ def test_water_filling_output_always_sums_to_budget():
         assert (x >= r - 1e-9).all()
 
 
+# 0.5 among the fixed values makes ties in the weights
+_UNIT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _water_filling_cases(draw):
+    """(k, load, raw floors, weights) for n = 1..7 workers: the floors are raw
+    scaled to sum to load * k, then capped at 1."""
+    n = draw(st.integers(1, 7))
+    load = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    k = draw(st.integers(1, n))
+    raw = draw(st.lists(_UNIT, min_size=n, max_size=n))
+    w = draw(st.lists(_UNIT, min_size=n, max_size=n))
+    return k, load, raw, w
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(
-    data=st.data(),
-    n=st.integers(1, 7),
-    load=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
-)
-def test_water_filling_matches_vertex_enumeration(data, n, load):
+@given(case=_water_filling_cases())
+# subnormal raw sums, whose scale overflowed when multiplied before dividing
+@example(case=(1, 1.0, [5e-324, 0.0], [0.5, 1.0]))
+@example(case=(2, 0.5, [5e-324, 1e-323, 5e-324], [1.0, 0.0, 1.0]))
+# floors of exactly 0 and exactly 1, with the budget tight and with room
+@example(case=(2, 1.0, [1.0, 0.0, 1.0], [0.0, 1.0, 0.5]))
+@example(case=(3, 1.0, [1.0, 0.0, 1.0, 0.5], [0.5, 0.5, 0.0, 1.0]))
+def test_water_filling_matches_vertex_enumeration(case):
     # every vertex of P sits at r_u or 1 in each coordinate except at most
     # one, which the budget sets; water filling must reach the best of them
-    k = data.draw(st.integers(1, n), label="k")
-    # 0.5 among the fixed values makes ties in the weights
-    unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
-    raw = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="raw"))
+    k, load, raw, w = case
+    raw, w = np.array(raw), np.array(w)
     # dividing first keeps a subnormal sum from overflowing the scale to inf
     r = raw / raw.sum() * (load * k) if raw.sum() > 0.0 else raw
     pool = _pool(np.minimum(r, 1.0), k)
     assume(pool.is_feasible())
     r = pool.fairness
-    w = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="w"))
     x = maximize_linear(pool, w)
     assert (x >= r).all() and (x <= 1.0).all()
     assert float(w @ x) == pytest.approx(water_fill_brute(r, k, w), abs=1e-12)
 
 
 def test_water_filling_keeps_a_floor_within_snapping_distance_of_zero():
-    # a FractionalPoint would snap the tiny floor to 0, below the floor
+    # snapping the tiny floor to 0 would put x below the floor
     r = np.array([1.0, 1.4e-237])
     x = maximize_linear(_pool(r, k=1), [1.0, 1.0])
     assert (x >= r).all()
