@@ -20,10 +20,8 @@ from .greedy import ContinuousGreedyResult, faircg1_fractional, faircg2_fraction
 from .lp import LpSolution, SimplexTableau, solve_uopt
 from .metrics import (
     SelectionTrace,
-    alpha_fairness_check,
     bound_certificates,
     fairness_report,
-    hoeffding_tail_check,
 )
 from .multilinear import ExtensionEstimator, ExtensionEvaluator
 from .oracles import (
@@ -33,7 +31,6 @@ from .oracles import (
     UtilityOracle,
     WorkerPool,
     check_submodular_monotone,
-    marginal_gain,
 )
 from .polytope import maximize_linear
 from .rounding import dep_round, dep_round_many
@@ -57,7 +54,6 @@ __all__ = [
     "SizeLimitError",
     "UtilityOracle",
     "WorkerPool",
-    "alpha_fairness_check",
     "bound_certificates",
     "check_submodular_monotone",
     "dep_round",
@@ -69,8 +65,6 @@ __all__ = [
     "faircg2_fractional",
     "fairdg_round",
     "fairness_report",
-    "hoeffding_tail_check",
-    "marginal_gain",
     "maximize_linear",
     "round_robin_policy",
     "solve_uopt",

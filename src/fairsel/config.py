@@ -46,7 +46,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -103,14 +103,7 @@ class RunConfig:
     fairness_base: tuple[float, ...] | None = None
 
     def build_pool(self) -> WorkerPool:
-        return WorkerPool(
-            n=self.n,
-            k=self.k,
-            fairness=np.asarray(self.fairness),
-            sample_counts=(
-                np.asarray(self.sample_counts) if self.sample_counts is not None else None
-            ),
-        )
+        return WorkerPool(n=self.n, k=self.k, fairness=np.asarray(self.fairness))
 
     def build_oracle(self) -> UtilityOracle:
         params = dict(self.oracle)
@@ -130,9 +123,6 @@ class RunConfig:
 
     def resolved_step_count(self) -> int:
         return self.step_count if self.step_count is not None else self.n**2
-
-    def with_overrides(self, **changes) -> "RunConfig":
-        return replace(self, **changes)
 
     def canonical_dict(self) -> dict[str, Any]:
         """Every result-affecting field, JSON-plain, in a stable shape: all of

@@ -1,4 +1,4 @@
-"""Fairness accounting, theoretical-bound certificates, and tail checks.
+"""Fairness accounting and theoretical-bound certificates.
 
 A SelectionTrace is the full record of a multi-round run: a (T, n) boolean
 selection matrix (row t marks the workers picked in round t) and one utility
@@ -101,10 +101,6 @@ class FairnessReport:
     def all_satisfied(self) -> bool:
         return bool(self.satisfied.all())
 
-    @property
-    def unsatisfied_ids(self) -> tuple[int, ...]:
-        return tuple(int(u) for u in np.nonzero(~self.satisfied)[0])
-
 
 def fairness_report(
     trace: SelectionTrace,
@@ -120,31 +116,6 @@ def fairness_report(
         max_debt=trace.max_debt(r),
         eps=float(eps),
     )
-
-
-@dataclass(frozen=True)
-class AlphaFairnessResult:
-    ok: bool
-    alpha: float
-    # earliest (round, worker) with fraction below r_u - 1/t**alpha, else None
-    first_violation: tuple[int, int] | None
-
-
-def alpha_fairness_check(
-    trace: SelectionTrace, fairness: Iterable[float], alpha: float
-) -> AlphaFairnessResult:
-    """Check every prefix: N_u(t)/t >= r_u - t**(-alpha) for all u."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    alpha = float(alpha)
-    r = as_vector(fairness, trace.n, "fairness")
-    for t, counts in trace.count_blocks():
-        # nonzero is row-major: its first hit is the earliest round, then worker
-        bad_rounds, bad_workers = np.nonzero(counts / t < r[None, :] - t ** (-alpha))
-        if bad_rounds.size:
-            first = (int(t[bad_rounds[0], 0]), int(bad_workers[0]))
-            return AlphaFairnessResult(ok=False, alpha=alpha, first_violation=first)
-    return AlphaFairnessResult(ok=True, alpha=alpha, first_violation=None)
 
 
 @dataclass(frozen=True)
@@ -203,54 +174,4 @@ def bound_certificates(
         variant_one_ok=value >= bound_one - slack,
         variant_two_ok=value >= bound_two - slack,
         tol=float(tol),
-    )
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Empirical shortfall frequencies against the Hoeffding tail bound."""
-
-    delta: float
-    horizon: int
-    ensemble_size: int
-    bound: float  # exp(-2 T delta^2)
-    statistical_slack: float
-    frequencies: np.ndarray  # per worker: share of traces with fraction <= r - delta
-    ok: bool
-    worst_worker: int
-
-
-def hoeffding_tail_check(
-    traces: Sequence[SelectionTrace],
-    fairness: Iterable[float],
-    delta: float,
-    confidence: float = 1e-3,
-) -> TailReport:
-    """Check P[fraction_u <= r_u - delta] <= exp(-2 T delta^2) empirically.
-
-    ``confidence`` sets the statistical slack added to the bound for the
-    finite ensemble: sqrt(log(1/confidence) / (2 M)).
-    """
-    if len(traces) < 100:
-        raise ValueError("need an ensemble of at least 100 traces")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    horizon, n = traces[0].selected.shape
-    if any(tr.selected.shape != (horizon, n) for tr in traces):
-        raise ValueError("all traces must share one horizon and one worker count")
-    r = as_vector(fairness, n, "fairness")
-    stacked = np.stack([tr.fractions() for tr in traces])  # (M, n)
-    freq = (stacked <= r[None, :] - delta).mean(axis=0)
-    bound = math.exp(-2.0 * horizon * delta * delta)
-    slack = math.sqrt(math.log(1.0 / confidence) / (2.0 * len(traces)))
-    ok = bool((freq <= bound + slack).all())
-    return TailReport(
-        delta=float(delta),
-        horizon=horizon,
-        ensemble_size=len(traces),
-        bound=bound,
-        statistical_slack=slack,
-        frequencies=freq,
-        ok=ok,
-        worst_worker=int(np.argmax(freq - bound)),
     )

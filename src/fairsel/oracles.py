@@ -4,14 +4,16 @@ An oracle answers value queries f(S) for subsets of a ground set of workers
 0..n-1. Every set evaluated costs exactly one query, whether sets arrive one
 at a time (``evaluate``) or as a batch (``evaluate_many``); batching exists
 to amortize Python overhead, never to discount queries. The counter is
-thread-safe.
+thread-safe. A WorkerPool holds only n, k and the fairness floors; each
+oracle owns its own parameters, so the accuracy oracle alone holds the
+per-worker sample counts.
 """
 from __future__ import annotations
 
 import threading
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,14 +32,12 @@ SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WorkerPool:
-    """Ground set description: n workers (ids 0..n-1), per-round budget k,
-    per-worker fairness floors r_u, and optional per-worker sample counts L_u
-    (required by the accuracy oracle)."""
+    """Ground set description: n workers (ids 0..n-1), per-round budget k and
+    per-worker fairness floors r_u."""
 
     n: int
     k: int
     fairness: np.ndarray
-    sample_counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -53,16 +53,6 @@ class WorkerPool:
             raise ValueError("fairness floors must lie in [0, 1]")
         r.flags.writeable = False
         object.__setattr__(self, "fairness", r)
-        if self.sample_counts is not None:
-            counts = np.array(self.sample_counts, dtype=float)
-            if counts.shape != (self.n,):
-                raise ValueError(
-                    f"sample_counts has shape {counts.shape}, expected ({self.n},)"
-                )
-            if not ((counts > 0.0) & (counts < np.inf)).all():
-                raise ValueError("sample counts must be positive and finite")
-            counts.flags.writeable = False
-            object.__setattr__(self, "sample_counts", counts)
 
     def is_feasible(self) -> bool:
         """True iff the fairness floors fit in the budget: sum(r) <= k."""
@@ -94,10 +84,6 @@ class UtilityOracle(ABC):
     def query_count(self) -> int:
         with self._lock:
             return self._queries
-
-    def reset_query_count(self) -> None:
-        with self._lock:
-            self._queries = 0
 
     def _charge(self, amount: int) -> None:
         with self._lock:
@@ -232,15 +218,6 @@ class ModularOracle(UtilityOracle):
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         return masks.astype(float) @ self.weights
-
-
-def marginal_gain(oracle: UtilityOracle, s: Iterable[int], u: int) -> float:
-    """f(s + u) - f(s), via exactly two value queries."""
-    base = set(int(v) for v in s)
-    u = int(u)
-    if u in base:
-        raise ValueError(f"element {u} already in the base set")
-    return oracle.evaluate(base | {u}) - oracle.evaluate(base)
 
 
 def all_subset_masks(n: int) -> np.ndarray:

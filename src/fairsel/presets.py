@@ -23,12 +23,7 @@ def demo_fairness(beta: float) -> np.ndarray:
 
 
 def demo_pool(beta: float = 0.42) -> WorkerPool:
-    return WorkerPool(
-        n=len(DEMO_SAMPLE_COUNTS),
-        k=DEMO_K,
-        fairness=demo_fairness(beta),
-        sample_counts=np.asarray(DEMO_SAMPLE_COUNTS),
-    )
+    return WorkerPool(n=len(DEMO_SAMPLE_COUNTS), k=DEMO_K, fairness=demo_fairness(beta))
 
 
 def demo_oracle() -> AccuracyOracle:

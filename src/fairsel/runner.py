@@ -79,13 +79,15 @@ def execute_run(config: RunConfig) -> RunResult:
     greedy_result: ContinuousGreedyResult | None = None
     selected = np.zeros((config.horizon, pool.n), dtype=bool)
     if config.policy in ("faircg1", "faircg2"):
-        # the LP goes first, before the evaluator holds its exact 2^n table;
-        # that one evaluator then serves the driver, F(r) and the certificates
+        # a run that cannot finish fails before the LP spends its C(n, k)
+        # queries; the evaluator builds its exact 2^n table only on first use,
+        # after the LP, and then serves the driver, F(r) and the certificates
+        pool.require_feasible()
+        evaluator = ExtensionEvaluator(oracle, config.build_estimator())
         if math.comb(pool.n, pool.k) <= config.subset_cap:
             lp_solution = solve_uopt(pool, oracle, subset_cap=config.subset_cap)
         else:
             notes.append("bound certificates skipped: subset count exceeds subset_cap")
-        evaluator = ExtensionEvaluator(oracle, config.build_estimator())
         driver = faircg1_fractional if config.policy == "faircg1" else faircg2_fractional
         greedy_result = driver(pool, evaluator, step_count=config.resolved_step_count())
         # round t's draws are row t of one shifted Kronecker sequence; a
@@ -307,12 +309,15 @@ def run_sweep(config: RunConfig, out_dir: str | Path | None = None) -> list[Swee
     rows leave U_opt and both ratios blank.
     """
     base = _sweep_base(config)
-    rows: list[SweepRow] = []
+    # every beta's floors are checked before the first run, so a bad beta
+    # late in the list costs no runs
+    betas = []
     for beta in config.sweep_betas:
-        floors = tuple(beta * b for b in base)
-        cfg_beta = config.with_overrides(fairness=floors)
-        pool = cfg_beta.build_pool()
-        if not pool.is_feasible():
+        cfg_beta = dataclasses.replace(config, fairness=tuple(beta * b for b in base))
+        betas.append((beta, cfg_beta, cfg_beta.build_pool().is_feasible()))
+    rows: list[SweepRow] = []
+    for beta, cfg_beta, feasible in betas:
+        if not feasible:
             for policy in ("faircg1", "faircg2", "fairdg"):
                 rows.append(
                     SweepRow(beta, policy, "infeasible", math.nan, math.nan, math.nan, math.nan)
@@ -320,7 +325,7 @@ def run_sweep(config: RunConfig, out_dir: str | Path | None = None) -> list[Swee
             continue
         u_opt = math.nan  # faircg1 runs first and brings its LP, unless over subset_cap
         for policy in ("faircg1", "faircg2", "fairdg"):
-            result = execute_run(cfg_beta.with_overrides(policy=policy))
+            result = execute_run(dataclasses.replace(cfg_beta, policy=policy))
             if policy == "faircg1" and result.lp is not None:
                 u_opt = result.lp.u_opt
             mean = result.trace.mean_utility()

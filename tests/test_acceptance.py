@@ -77,8 +77,8 @@ def test_criterion_01_time_average_near_optimal(accept_runs):
 
 def test_criterion_02_fairness_floors_met_and_greedy_flagged(accept_runs):
     fair_ok = all(accept_runs[p].fairness.all_satisfied for p in FAIR_POLICIES)
-    dg_unsat = accept_runs["dg"].fairness.unsatisfied_ids
-    dg_ok = dg_unsat == (0, 4, 8, 9)
+    dg_unsat = np.flatnonzero(~accept_runs["dg"].fairness.satisfied).tolist()
+    dg_ok = dg_unsat == [0, 4, 8, 9]
     worst = min(
         float(
             (accept_runs[p].fairness.fractions - accept_runs[p].fairness.requirements).min()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairsel import FeasibilityError, SizeLimitError, runner
 from fairsel.cli import main
 from fairsel.config import RunConfig, load_config, parse_config
 from fairsel.core import format_float
 from fairsel.metrics import TRACE_BLOCK
-from fairsel.runner import execute_run, write_run_outputs
+from fairsel.runner import execute_run, run_sweep, write_run_outputs
 from fairsel.presets import DEMO_MASTER_SEED, demo_config
 
 
@@ -209,7 +211,7 @@ def test_config_hash_is_canonical_and_sensitive(tmp_path):
     assert parse_config(scrambled).config_hash() == a
     assert parse_config(demo_config(master_seed=8)).config_hash() != a
     cfg = parse_config(raw)
-    assert cfg.with_overrides(fairness=tuple([0.1] * 10)).config_hash() != a
+    assert dataclasses.replace(cfg, fairness=tuple([0.1] * 10)).config_hash() != a
     path = _write(tmp_path, raw)
     assert load_config(path).config_hash() == a
 
@@ -333,6 +335,45 @@ def test_sweep_requires_a_base_profile(tmp_path):
         main(["sweep", "--config", path, "--out", str(tmp_path / "x")])
 
 
+def _exact_above_the_cap():
+    # C(16, 8) = 12870 LP columns fit subset_cap; the 2^16 exact table does not
+    return {
+        "n": 16, "k": 8, "fairness": {"explicit": [0.0] * 16},
+        "oracle": {"kind": "modular", "weights": [1.0] * 16},
+        "policy": "faircg1", "horizon": 10, "estimator": {"mode": "exact"},
+    }
+
+
+def _floors_over_budget():
+    raw = demo_config(policy="faircg2", horizon=10)
+    raw["fairness"] = {"explicit": [0.7] * 10}  # sum 7 > k = 6
+    return raw
+
+
+@pytest.mark.parametrize(
+    "make_raw, error",
+    [(_exact_above_the_cap, SizeLimitError), (_floors_over_budget, FeasibilityError)],
+    ids=["exact-above-the-cap", "floors-over-budget"],
+)
+def test_faircg_fails_before_the_lp_spends_its_queries(monkeypatch, make_raw, error):
+    calls = []
+    monkeypatch.setattr(runner, "solve_uopt", lambda *args, **kw: calls.append(args))
+    with pytest.raises(error):
+        execute_run(parse_config(make_raw()))
+    assert calls == []
+
+
+def test_sweep_checks_every_beta_before_the_first_run(monkeypatch):
+    # 0.9 * 1.5 > 1: the second beta's floors leave [0, 1]
+    raw = demo_config(horizon=10)
+    raw["sweep_betas"] = [0.3, 0.9]
+    calls = []
+    monkeypatch.setattr(runner, "execute_run", lambda cfg: calls.append(cfg))
+    with pytest.raises(ValueError, match=re.escape("fairness floors must lie in [0, 1]")):
+        run_sweep(parse_config(raw))
+    assert calls == []
+
+
 def test_cli_check_passes_on_the_demo(tmp_path, capsys):
     path = _write(tmp_path, demo_config())
     assert main(["check", "--config", path]) == 0
@@ -417,3 +458,19 @@ def test_run_and_opt_never_import_scipy(tmp_path):
     assert "u_opt=" in proc.stdout and (tmp_path / "opt" / "support.csv").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists() and "feasible=yes" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "scipy blocked"
+
+
+def test_readme_library_use_block_prints_what_it_states():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    stated = re.search(r"prints `([^`]*)`", section).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", block],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stated + "\n"

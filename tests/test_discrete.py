@@ -8,7 +8,6 @@ from fairsel import (
     WorkerPool,
     dg_round,
     fairdg_round,
-    marginal_gain,
     round_robin_policy,
 )
 from fairsel.config import parse_config
@@ -68,9 +67,9 @@ def test_round_query_budget(demo):
     ledger = DebtLedger.fresh(10)
     budget = pool.k * pool.n
     for _ in range(30):
-        oracle.reset_query_count()
+        before = oracle.query_count
         fairdg_round(pool, oracle, ledger)
-        assert oracle.query_count <= budget
+        assert oracle.query_count - before <= budget
 
 
 def _fairdg_reference(pool, oracle, horizon, strict_debt=False):
@@ -123,7 +122,7 @@ def test_greedy_matches_a_marginal_gain_reimplementation():
         chosen = []
         for _ in range(k):
             gains = [
-                (round(marginal_gain(oracle, chosen, u), 12), u)
+                (round(oracle.evaluate({*chosen, u}) - oracle.evaluate(chosen), 12), u)
                 for u in range(n)
                 if u not in chosen
             ]

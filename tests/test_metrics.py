@@ -7,21 +7,11 @@ from fairsel import (
     ModularOracle,
     SelectionTrace,
     WorkerPool,
-    alpha_fairness_check,
     bound_certificates,
-    dep_round_many,
-    derive_rng,
     fairness_report,
-    hoeffding_tail_check,
 )
 from fairsel.metrics import TRACE_BLOCK, concession_rate
 from fairsel.multilinear import ExtensionEstimator, ExtensionEvaluator
-
-
-def _rounded_matrix(y, seed, member, horizon):
-    """(T, n) selection matrix of T independent roundings of y: the rounds
-    take successive n-uniform draws of one derive_rng(seed, member) stream."""
-    return dep_round_many(y, derive_rng(seed, member).random((horizon, len(y))))
 
 
 @pytest.fixture()
@@ -85,54 +75,13 @@ def test_selections_need_equal_round_sizes():
 def test_fairness_report_flags(tiny_trace):
     rep = fairness_report(tiny_trace, [1.0, 0.6, 0.5])
     assert rep.satisfied.tolist() == [True, False, True]
-    assert rep.unsatisfied_ids == (1,)
+    assert np.flatnonzero(~rep.satisfied).tolist() == [1]
     assert not rep.all_satisfied
     # a worker exactly eps below the floor still passes
     rep = fairness_report(tiny_trace, [1.0, 0.501, 0.5], eps=1e-3)
     assert rep.all_satisfied
     with pytest.raises(ValueError):
         fairness_report(tiny_trace, [1.0, 0.5])
-
-
-def test_alpha_fairness_first_violation():
-    # worker 1 never selected (r=0.6): first round with 0 < 0.6 - 1/t is t=2
-    trace = SelectionTrace(np.tile([True, False], (5, 1)), [0.0] * 5)
-    res = alpha_fairness_check(trace, [0.0, 0.6], alpha=1.0)
-    assert not res.ok
-    assert res.first_violation == (2, 1)
-    assert alpha_fairness_check(trace, [0.0, 0.0], alpha=1.0).ok
-    with pytest.raises(ValueError):
-        alpha_fairness_check(trace, [0.0, 0.6], alpha=0.0)
-
-
-def _first_violation_reference(selected, r, alpha):
-    """The earliest (round, worker) below r_u - t**-alpha, from the full count matrix."""
-    t = np.arange(1, selected.shape[0] + 1, dtype=float)[:, None]
-    bad = np.cumsum(selected, axis=0) / t < r[None, :] - t ** (-alpha)
-    rounds, workers = np.nonzero(bad)
-    return (int(rounds[0]) + 1, int(workers[0])) if rounds.size else None
-
-
-def test_alpha_fairness_check_joins_its_count_blocks():
-    # worker 1 takes every other round until round 6000 and then none, so its
-    # fraction first falls below 0.45 - t**-0.5 in the trace's second block
-    horizon = 2 * TRACE_BLOCK + 13
-    selected = np.zeros((horizon, 3), dtype=bool)
-    selected[:, 0] = True
-    selected[:6000:2, 1] = True
-    r = np.array([0.9, 0.45, 0.0])
-    res = alpha_fairness_check(SelectionTrace(selected, np.zeros(horizon)), r, alpha=0.5)
-    assert res.first_violation == _first_violation_reference(selected, r, 0.5)
-    assert res.first_violation[0] > TRACE_BLOCK + 1
-    rng = np.random.default_rng(44)
-    for _ in range(20):
-        rounds = int(rng.integers(1, horizon))
-        drift = np.linspace(0.7, rng.uniform(0.2, 0.7), rounds)[:, None]
-        selected = rng.random((rounds, 4)) < drift
-        r, alpha = rng.uniform(0.3, 0.7, 4), float(rng.uniform(0.2, 1.0))
-        res = alpha_fairness_check(SelectionTrace(selected, np.zeros(rounds)), r, alpha)
-        assert res.first_violation == _first_violation_reference(selected, r, alpha)
-        assert res.ok == (res.first_violation is None)
 
 
 def test_concession_rate(demo):
@@ -184,44 +133,11 @@ def test_bound_certificates_mc_mode_widens_tolerance():
     assert cert.variant_one_ok == (cert.extension_value >= cert.variant_one_bound - slack)
 
 
-def test_hoeffding_tail_check():
-    y = np.array((0.6, 0.4, 0.5, 0.5))
-    horizon, ensemble = 400, 150
-    traces = []
-    for m in range(ensemble):
-        traces.append(SelectionTrace(_rounded_matrix(y, 100, m, horizon), np.zeros(horizon)))
-    report = hoeffding_tail_check(traces, y, delta=0.1)
-    assert report.ok
-    assert report.bound == pytest.approx(math.exp(-2 * horizon * 0.01), abs=1e-15)
-    assert (report.frequencies <= report.bound + report.statistical_slack).all()
-
-
-def test_hoeffding_preconditions():
-    y = np.array((0.5, 0.5))
-    traces = [SelectionTrace(_rounded_matrix(y, 1, m, 10), np.zeros(10)) for m in range(100)]
-    with pytest.raises(ValueError):
-        hoeffding_tail_check(traces[:99], y, delta=0.1)
-    with pytest.raises(ValueError):
-        hoeffding_tail_check(traces, y, delta=0.0)
-    short = SelectionTrace(np.tile([True, False], (9, 1)), np.zeros(9))
-    with pytest.raises(ValueError):
-        hoeffding_tail_check(traces[:99] + [short], y, delta=0.1)
-    wide = SelectionTrace(np.tile([True, False, False], (10, 1)), np.zeros(10))
-    with pytest.raises(ValueError, match="worker count"):
-        hoeffding_tail_check(traces[:99] + [wide], y, delta=0.1)
-
-
 @pytest.mark.parametrize("length", [1, 3])
 def test_fairness_checks_reject_a_floor_vector_of_the_wrong_length(length):
     # a one-element vector must not broadcast to every worker, and a longer
     # one must fail by shape, not inside numpy
-    y = np.array((0.6, 0.4, 0.5, 0.5))
-    traces = [SelectionTrace(_rounded_matrix(y, 3, m, 20), np.zeros(20)) for m in range(100)]
-    floors = [0.4] * length
+    trace = SelectionTrace(np.tile([True, False, True, False], (20, 1)), np.zeros(20))
     wrong_shape = rf"fairness vector has shape \({length},\), expected \(4,\)"
     with pytest.raises(ValueError, match=wrong_shape):
-        fairness_report(traces[0], floors)
-    with pytest.raises(ValueError, match=wrong_shape):
-        alpha_fairness_check(traces[0], floors, alpha=0.5)
-    with pytest.raises(ValueError, match=wrong_shape):
-        hoeffding_tail_check(traces, np.array(floors), delta=0.1)
+        fairness_report(trace, [0.4] * length)
